@@ -1,4 +1,4 @@
-// Benchmarks, one per experiment of EXPERIMENTS.md (E1–E13, A1–A6) plus
+// Benchmarks, one per experiment of EXPERIMENTS.md (E1–E13, A1–A4, A6) plus
 // engine micro-benchmarks. cmd/benchrunner produces the full sweep tables;
 // these targets pin each experiment's workload into `go test -bench`.
 package pyquery_test
@@ -16,7 +16,6 @@ import (
 	"pyquery/internal/eval"
 	"pyquery/internal/governor"
 	"pyquery/internal/graph"
-	"pyquery/internal/order"
 	"pyquery/internal/parser"
 	"pyquery/internal/query"
 	"pyquery/internal/reductions"
@@ -35,6 +34,28 @@ var (
 	serialCore = core.Options{Parallelism: 1}
 	serialYan  = yannakakis.Options{Parallelism: 1}
 )
+
+// program is the compiled form every engine exports; run and runBool wrap an
+// engine's Compile call into the one-shot the experiment benchmarks time —
+// compile plus a single ungoverned execution.
+type program interface {
+	Exec(context.Context, []relation.Value, *governor.Meter) (*relation.Relation, error)
+	ExecBool(context.Context, []relation.Value, *governor.Meter) (bool, error)
+}
+
+func run(p program, err error) (*relation.Relation, error) {
+	if err != nil {
+		return nil, err
+	}
+	return p.Exec(context.Background(), nil, nil)
+}
+
+func runBool(p program, err error) (bool, error) {
+	if err != nil {
+		return false, err
+	}
+	return p.ExecBool(context.Background(), nil, nil)
+}
 
 // turan builds the Turán graph T(n,r) (no (r+1)-clique).
 func turan(n, r int) *graph.Graph {
@@ -57,7 +78,7 @@ func BenchmarkE1_CliqueQuery(b *testing.B) {
 		b.Run(fmt.Sprintf("k=%d/n=%d", tc.k, tc.n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ok, err := eval.ConjunctiveBoolOpts(q, db, serialEval)
+				ok, err := runBool(eval.Compile(q, db, serialEval, nil))
 				if err != nil || ok {
 					b.Fatal("negative instance expected")
 				}
@@ -88,7 +109,7 @@ func BenchmarkE2_Parameterizations(b *testing.B) {
 	q, db := reductions.CliqueToCQ(turan(30, 2), 3)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if ok, err := eval.ConjunctiveBoolOpts(q, db, serialEval); err != nil || ok {
+		if ok, err := runBool(eval.Compile(q, db, serialEval, nil)); err != nil || ok {
 			b.Fatal("negative instance expected")
 		}
 	}
@@ -103,7 +124,7 @@ func BenchmarkE3_OrgChart(b *testing.B) {
 		b.Run(fmt.Sprintf("core/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.EvaluateOpts(q, db, serialCore); err != nil {
+				if _, err := run(core.Compile(q, db, serialCore)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -111,7 +132,7 @@ func BenchmarkE3_OrgChart(b *testing.B) {
 		b.Run(fmt.Sprintf("generic/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := eval.ConjunctiveOpts(q, db, serialEval); err != nil {
+				if _, err := run(eval.Compile(q, db, serialEval, nil)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -126,7 +147,7 @@ func BenchmarkE3_SimplePathByK(b *testing.B) {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.EvaluateBoolOpts(q, db, serialCore); err != nil {
+				if _, err := runBool(core.Compile(q, db, serialCore)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -139,7 +160,7 @@ func BenchmarkE3_Registrar(b *testing.B) {
 	q := workload.OutsideDeptQuery()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.EvaluateOpts(q, db, serialCore); err != nil {
+		if _, err := run(core.Compile(q, db, serialCore)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -153,7 +174,7 @@ func BenchmarkE4_Comparisons(b *testing.B) {
 		b.Run(fmt.Sprintf("k=%d/n=%d", tc.k, tc.n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ok, err := order.EvaluateBoolOpts(q, db, serialEval)
+				ok, err := pyquery.EvaluateBoolOpts(q, db, pyquery.Options{Parallelism: 1, NoCache: true})
 				if err != nil || ok {
 					b.Fatal("negative instance expected")
 				}
@@ -171,28 +192,28 @@ func BenchmarkE5_Examples(b *testing.B) {
 	qReg := workload.OutsideDeptQuery()
 	b.Run("orgchart/core", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.EvaluateOpts(qOrg, org, serialCore); err != nil {
+			if _, err := run(core.Compile(qOrg, org, serialCore)); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("orgchart/generic", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := eval.ConjunctiveOpts(qOrg, org, serialEval); err != nil {
+			if _, err := run(eval.Compile(qOrg, org, serialEval, nil)); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("registrar/core", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.EvaluateOpts(qReg, reg, serialCore); err != nil {
+			if _, err := run(core.Compile(qReg, reg, serialCore)); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("registrar/generic", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := eval.ConjunctiveOpts(qReg, reg, serialEval); err != nil {
+			if _, err := run(eval.Compile(qReg, reg, serialEval, nil)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -208,7 +229,7 @@ func BenchmarkE6_HamPath(b *testing.B) {
 		b.Run(fmt.Sprintf("engine/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.EvaluateBoolOpts(q, db, serialCore); err != nil {
+				if _, err := runBool(core.Compile(q, db, serialCore)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -413,30 +434,28 @@ func BenchmarkE11_Refresh(b *testing.B) {
 
 // BenchmarkE12_Columnar prices the columnar substrate's narrow-code
 // representation on an interned workload: each sub-benchmark runs a hot
-// kernel (stats scan, semijoin, natural join) under both arms of the
-// relation.SetNarrowCodes ablation — narrow 4-byte codes vs wide 8-byte
-// cells — and reports the resident input bytes per arm. The relations are
-// rebuilt under each setting (the toggle only affects new columns).
-// cmd/benchrunner -exp E12 produces the full A/B table.
+// kernel (stats scan, semijoin, natural join) over both representations —
+// narrow 4-byte codes vs wide 8-byte cells — and reports the resident
+// input bytes per arm. The wide arm is the same workload with every id
+// shifted outside the int32 range, i.e. the widening the substrate selects
+// from its input. cmd/benchrunner -exp E12 produces the full A/B table.
 func BenchmarkE12_Columnar(b *testing.B) {
 	const n = 100000
-	build := func() (lhs, rhs *relation.Relation) {
+	build := func(base relation.Value) (lhs, rhs *relation.Relation) {
 		lhs = relation.New(relation.Schema{0, 1})
 		rhs = relation.New(relation.Schema{1, 2})
 		for i := 0; i < n; i++ {
-			lhs.Append(relation.Value(i%(n/40)), relation.Value(i%(n/20)))
-			rhs.Append(relation.Value(i%(n/80)), relation.Value(i%250))
+			lhs.Append(base+relation.Value(i%(n/40)), base+relation.Value(i%(n/20)))
+			rhs.Append(base+relation.Value(i%(n/80)), base+relation.Value(i%250))
 		}
 		return lhs, rhs
 	}
 	for _, arm := range []struct {
-		name   string
-		narrow bool
-	}{{"narrow", true}, {"wide", false}} {
+		name string
+		base relation.Value
+	}{{"narrow", 0}, {"wide", 1 << 40}} {
 		b.Run(arm.name, func(b *testing.B) {
-			prev := relation.SetNarrowCodes(arm.narrow)
-			defer relation.SetNarrowCodes(prev)
-			lhs, rhs := build()
+			lhs, rhs := build(arm.base)
 			// Reported per sub-benchmark: a parent with sub-benchmarks
 			// emits no result line of its own.
 			inputBytes := float64(lhs.Bytes() + rhs.Bytes())
@@ -538,14 +557,14 @@ func BenchmarkA1_Pushdown(b *testing.B) {
 	q := workload.SimplePathQuery(4)
 	b.Run("pushdown", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.EvaluateBoolOpts(q, db, serialCore); err != nil {
+			if _, err := runBool(core.Compile(q, db, serialCore)); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("allhashed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.EvaluateBoolOpts(q, db, core.Options{Parallelism: 1, NoPushdown: true}); err != nil {
+			if _, err := runBool(core.Compile(q, db, core.Options{Parallelism: 1, NoPushdown: true})); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -559,14 +578,14 @@ func BenchmarkA2_FullReducer(b *testing.B) {
 	q := a2Query()
 	b.Run("reducer", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := yannakakis.EvaluateOpts(q, db, serialYan); err != nil {
+			if _, err := run(yannakakis.Compile(q, db, serialYan)); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("noreducer", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := yannakakis.EvaluateOpts(q, db, yannakakis.Options{Parallelism: 1, NoFullReducer: true}); err != nil {
+			if _, err := run(yannakakis.Compile(q, db, yannakakis.Options{Parallelism: 1, NoFullReducer: true})); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -580,34 +599,14 @@ func BenchmarkA3_JoinOrder(b *testing.B) {
 	q := a3Query()
 	b.Run("greedy", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := eval.ConjunctiveBoolOpts(q, db, eval.Options{Parallelism: 1}); err != nil {
+			if _, err := runBool(eval.Compile(q, db, eval.Options{Parallelism: 1}, nil)); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("written", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := eval.ConjunctiveBoolOpts(q, db, eval.Options{Parallelism: 1, NoReorder: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-func BenchmarkA5_PlannerOrder(b *testing.B) {
-	db, q := workload.PlannerTrap(200, 30)
-	b.Run("stats", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := eval.ConjunctiveOpts(q, db, serialEval); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("legacy", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := eval.ConjunctiveOpts(q, db, eval.Options{Parallelism: 1, LegacyGreedy: true}); err != nil {
+			if _, err := runBool(eval.Compile(q, db, eval.Options{Parallelism: 1, NoReorder: true}, nil)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -620,8 +619,8 @@ func BenchmarkA4_FamilySize(b *testing.B) {
 	for _, c := range []float64{1, 4} {
 		b.Run(fmt.Sprintf("mc/c=%v", c), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.EvaluateBoolOpts(q, db,
-					core.Options{Parallelism: 1, Strategy: core.MonteCarlo, C: c, Seed: 7}); err != nil {
+				if _, err := runBool(core.Compile(q, db,
+					core.Options{Parallelism: 1, Strategy: core.MonteCarlo, C: c, Seed: 7})); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -631,7 +630,7 @@ func BenchmarkA4_FamilySize(b *testing.B) {
 	// enumeration; the whp-perfect family is the deterministic option.
 	b.Run("whp", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.EvaluateBoolOpts(q, db, core.Options{Parallelism: 1, Strategy: core.WHP, Seed: 7}); err != nil {
+			if _, err := runBool(core.Compile(q, db, core.Options{Parallelism: 1, Strategy: core.WHP, Seed: 7})); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -673,7 +672,7 @@ func BenchmarkMicro_YannakakisPath(b *testing.B) {
 	q := workload.PathQuery(5)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := yannakakis.EvaluateBoolOpts(q, db, serialYan); err != nil {
+		if _, err := runBool(yannakakis.Compile(q, db, serialYan)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -760,7 +759,7 @@ func BenchmarkE1_CliqueQueryPar(b *testing.B) {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ok, err := eval.ConjunctiveBoolOpts(q, db, eval.Options{Parallelism: p})
+				ok, err := runBool(eval.Compile(q, db, eval.Options{Parallelism: p}, nil))
 				if err != nil || ok {
 					b.Fatal("negative instance expected")
 				}
@@ -776,7 +775,7 @@ func BenchmarkE3_OrgChartPar(b *testing.B) {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.EvaluateOpts(q, db, core.Options{Parallelism: p}); err != nil {
+				if _, err := run(core.Compile(q, db, core.Options{Parallelism: p})); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -806,7 +805,7 @@ func BenchmarkMicro_YannakakisPar(b *testing.B) {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := yannakakis.EvaluateOpts(q, db, yannakakis.Options{Parallelism: p}); err != nil {
+				if _, err := run(yannakakis.Compile(q, db, yannakakis.Options{Parallelism: p})); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -28,21 +28,23 @@ func runA1(w io.Writer, quick bool) {
 	var rows [][]string
 	for _, k := range []int{3, 4} {
 		q := workload.SimplePathQuery(k)
-		_, sOn, err := core.EvaluateBoolStats(q, db, core.Options{Parallelism: 1})
+		on, err := core.Compile(q, db, serialCore)
 		if err != nil {
 			panic(err)
 		}
+		sOn := on.Stats()
 		tOn := bench.Seconds(20*time.Millisecond, func() {
-			if _, err := core.EvaluateBoolOpts(q, db, serialCore); err != nil {
+			if _, err := runBool(core.Compile(q, db, serialCore)); err != nil {
 				panic(err)
 			}
 		})
-		_, sOff, err := core.EvaluateBoolStats(q, db, core.Options{Parallelism: 1, NoPushdown: true})
+		off, err := core.Compile(q, db, core.Options{Parallelism: 1, NoPushdown: true})
 		if err != nil {
 			panic(err)
 		}
+		sOff := off.Stats()
 		tOff := bench.Seconds(20*time.Millisecond, func() {
-			if _, err := core.EvaluateBoolOpts(q, db, core.Options{Parallelism: 1, NoPushdown: true}); err != nil {
+			if _, err := runBool(core.Compile(q, db, core.Options{Parallelism: 1, NoPushdown: true})); err != nil {
 				panic(err)
 			}
 		})
@@ -98,21 +100,21 @@ func runA2(w io.Writer, quick bool) {
 			query.NewAtom("S", query.V(2), query.V(3)),
 		},
 	}
-	want, err := yannakakis.EvaluateOpts(q, db, serialYan)
+	want, err := run(yannakakis.Compile(q, db, serialYan))
 	if err != nil {
 		panic(err)
 	}
-	got, err := yannakakis.EvaluateOpts(q, db, yannakakis.Options{Parallelism: 1, NoFullReducer: true})
+	got, err := run(yannakakis.Compile(q, db, yannakakis.Options{Parallelism: 1, NoFullReducer: true}))
 	if err != nil || !relation.EqualSet(got, want) {
 		panic("full reducer ablation changed the answer")
 	}
 	tOn := bench.Seconds(20*time.Millisecond, func() {
-		if _, err := yannakakis.EvaluateOpts(q, db, serialYan); err != nil {
+		if _, err := run(yannakakis.Compile(q, db, serialYan)); err != nil {
 			panic(err)
 		}
 	})
 	tOff := bench.Seconds(20*time.Millisecond, func() {
-		if _, err := yannakakis.EvaluateOpts(q, db, yannakakis.Options{Parallelism: 1, NoFullReducer: true}); err != nil {
+		if _, err := run(yannakakis.Compile(q, db, yannakakis.Options{Parallelism: 1, NoFullReducer: true})); err != nil {
 			panic(err)
 		}
 	})
@@ -149,12 +151,12 @@ func runA3(w io.Writer, quick bool) {
 		},
 	}
 	tOn := bench.Seconds(20*time.Millisecond, func() {
-		if _, err := eval.ConjunctiveOpts(q, db, eval.Options{Parallelism: 1}); err != nil {
+		if _, err := run(eval.Compile(q, db, eval.Options{Parallelism: 1}, nil)); err != nil {
 			panic(err)
 		}
 	})
 	tOff := bench.Seconds(20*time.Millisecond, func() {
-		if _, err := eval.ConjunctiveOpts(q, db, eval.Options{Parallelism: 1, NoReorder: true}); err != nil {
+		if _, err := run(eval.Compile(q, db, eval.Options{Parallelism: 1, NoReorder: true}, nil)); err != nil {
 			panic(err)
 		}
 	})
@@ -163,49 +165,6 @@ func runA3(w io.Writer, quick bool) {
 		{"written order", bench.FmtSeconds(tOff)},
 		{"slowdown", bench.FmtFloat(tOff / tOn)},
 	}))
-}
-
-// runA5 ablates the cost-based planner: the stats-driven join order
-// (internal/plan, estimated intermediate cardinalities from cached column
-// statistics) against the legacy greedy heuristic (fewest unbound
-// variables, ties by raw size). The workload is the legacy heuristic's
-// failure mode — fan-out blindness: after Start and FanA bind (s,a), both
-// FanB(s,b) and Sel(a,b) have one unbound variable, and the tie-break picks
-// the smaller FanB even though it multiplies every partial assignment by
-// the fan-out, while the planner's selectivity model sees that Sel keeps
-// the intermediate flat and schedules it first.
-func runA5(w io.Writer, quick bool) {
-	groups, fan := 300, 40
-	if quick {
-		groups, fan = 120, 25
-	}
-	db, q := workload.PlannerTrap(groups, fan)
-	want, err := eval.ConjunctiveOpts(q, db, eval.Options{Parallelism: 1, LegacyGreedy: true})
-	if err != nil {
-		panic(err)
-	}
-	got, err := eval.ConjunctiveOpts(q, db, eval.Options{Parallelism: 1})
-	if err != nil || !relation.EqualSet(got, want) {
-		panic("planner ablation changed the answer")
-	}
-	tStats := bench.Seconds(20*time.Millisecond, func() {
-		if _, err := eval.ConjunctiveOpts(q, db, eval.Options{Parallelism: 1}); err != nil {
-			panic(err)
-		}
-	})
-	tLegacy := bench.Seconds(20*time.Millisecond, func() {
-		if _, err := eval.ConjunctiveOpts(q, db, eval.Options{Parallelism: 1, LegacyGreedy: true}); err != nil {
-			panic(err)
-		}
-	})
-	fmt.Fprint(w, bench.Table([]string{"variant", "time"}, [][]string{
-		{"stats-driven order (planner)", bench.FmtSeconds(tStats)},
-		{"legacy greedy order", bench.FmtSeconds(tLegacy)},
-		{"slowdown", bench.FmtFloat(tLegacy / tStats)},
-	}))
-	fmt.Fprintf(w, "(identical answers, |output| = %d; the legacy order enumerates ~%d\n",
-		want.Len(), groups*fan*fan)
-	fmt.Fprintln(w, "partial assignments through the second fan-out before Sel prunes them)")
 }
 
 // runA4 sweeps the Monte-Carlo confidence c and compares the measured
@@ -221,7 +180,7 @@ func runA4(w io.Writer, quick bool) {
 		e.Append(0, relation.Value(leaf))
 	}
 	db.Set("E", e)
-	exact, err := core.EvaluateOpts(q, db, core.Options{Parallelism: 1, Strategy: core.Exact})
+	exact, err := run(core.Compile(q, db, core.Options{Parallelism: 1, Strategy: core.Exact}))
 	if err != nil {
 		panic(err)
 	}
@@ -236,8 +195,8 @@ func runA4(w io.Writer, quick bool) {
 	for _, c := range []float64{0.05, 0.1, 0.25, 1, 3} {
 		succ := 0
 		for i := 0; i < runs; i++ {
-			got, err := core.EvaluateBoolOpts(q, db,
-				core.Options{Parallelism: 1, Strategy: core.MonteCarlo, C: c, Seed: int64(500 + i)})
+			got, err := runBool(core.Compile(q, db,
+				core.Options{Parallelism: 1, Strategy: core.MonteCarlo, C: c, Seed: int64(500 + i)}))
 			if err != nil {
 				panic(err)
 			}

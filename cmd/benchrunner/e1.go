@@ -86,7 +86,7 @@ func runE1(w io.Writer, quick bool) {
 			g := turan(n, k-1)
 			q, db := reductions.CliqueToCQ(g, k)
 			secs := bench.Seconds(10*time.Millisecond, func() {
-				ok, err := eval.ConjunctiveBoolOpts(q, db, serialEval)
+				ok, err := runBool(eval.Compile(q, db, serialEval, nil))
 				if err != nil || ok {
 					panic(fmt.Sprintf("turán graph should have no %d-clique: %v %v", k, ok, err))
 				}
@@ -124,7 +124,7 @@ func checkCliqueLower(rnd *rand.Rand, sweep int) int {
 		g := graph.Random(6+rnd.Intn(8), 0.3+0.5*rnd.Float64(), rnd.Int63())
 		k := 2 + rnd.Intn(3)
 		q, db := reductions.CliqueToCQ(g, k)
-		got, err := eval.ConjunctiveBoolOpts(q, db, serialEval)
+		got, err := runBool(eval.Compile(q, db, serialEval, nil))
 		if err == nil && got == g.HasClique(k) {
 			agree++
 		}
@@ -136,7 +136,7 @@ func checkCQ2CNF(rnd *rand.Rand, sweep int) int {
 	agree := 0
 	for i := 0; i < sweep; i++ {
 		q, db := randBoolCQ(rnd)
-		want, err := eval.ConjunctiveBoolOpts(q, db, serialEval)
+		want, err := runBool(eval.Compile(q, db, serialEval, nil))
 		if err != nil {
 			agree++ // nothing to validate
 			continue
@@ -156,7 +156,7 @@ func checkBoundedVars(rnd *rand.Rand, sweep int) int {
 	agree := 0
 	for i := 0; i < sweep; i++ {
 		q, db := randBoolCQ(rnd)
-		want, err := eval.ConjunctiveOpts(q, db, serialEval)
+		want, err := run(eval.Compile(q, db, serialEval, nil))
 		if err != nil {
 			agree++
 			continue
@@ -165,7 +165,7 @@ func checkBoundedVars(rnd *rand.Rand, sweep int) int {
 		if err != nil {
 			continue
 		}
-		got, err := eval.ConjunctiveOpts(q2, db2, serialEval)
+		got, err := run(eval.Compile(q2, db2, serialEval, nil))
 		if err == nil && relation.EqualSet(got, want) {
 			agree++
 		}
@@ -188,7 +188,7 @@ func checkPositiveUCQ(rnd *rand.Rand, sweep int) int {
 		}
 		got := false
 		for _, cq := range cqs {
-			if ok, err := eval.ConjunctiveBoolOpts(cq, db, serialEval); err == nil && ok {
+			if ok, err := runBool(eval.Compile(cq, db, serialEval, nil)); err == nil && ok {
 				got = true
 				break
 			}

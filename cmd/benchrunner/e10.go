@@ -71,15 +71,17 @@ func runE10(w io.Writer, quick bool) {
 		}
 		var want, got *relation.Relation
 		tWCOJ := bench.Seconds(50*time.Millisecond, func() {
-			var err error
-			got, err = wcoj.Evaluate(spec.q, db, 1)
+			rt, err := wcoj.PlanFor(spec.q, db)
 			if err != nil {
+				panic(err)
+			}
+			if got, err = run(wcoj.Compile(spec.q, rt, 1)); err != nil {
 				panic(err)
 			}
 		})
 		tGen := bench.Seconds(50*time.Millisecond, func() {
 			var err error
-			want, err = eval.ConjunctiveOpts(spec.q, db, eval.Options{Parallelism: 1})
+			want, err = run(eval.Compile(spec.q, db, eval.Options{Parallelism: 1}, nil))
 			if err != nil {
 				panic(err)
 			}

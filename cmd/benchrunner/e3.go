@@ -31,7 +31,7 @@ func runE3(w io.Writer, quick bool) {
 		org := workload.OrgChart(n, 50, 3, 11)
 		qOrg := workload.MultiProjectQuery()
 		tOrg := bench.Seconds(20*time.Millisecond, func() {
-			if _, err := core.EvaluateOpts(qOrg, org, serialCore); err != nil {
+			if _, err := run(core.Compile(qOrg, org, serialCore)); err != nil {
 				panic(err)
 			}
 		})
@@ -40,7 +40,7 @@ func runE3(w io.Writer, quick bool) {
 		reg := workload.Registrar(n, 80, 8, 3, 12)
 		qReg := workload.OutsideDeptQuery()
 		tReg := bench.Seconds(20*time.Millisecond, func() {
-			if _, err := core.EvaluateOpts(qReg, reg, serialCore); err != nil {
+			if _, err := run(core.Compile(qReg, reg, serialCore)); err != nil {
 				panic(err)
 			}
 		})
@@ -67,12 +67,13 @@ func runE3(w io.Writer, quick bool) {
 	var kSeries bench.Series
 	for k := 2; k <= maxK; k++ {
 		q := workload.SimplePathQuery(k)
-		_, stats, err := core.EvaluateBoolStats(q, db, core.Options{Parallelism: 1, Strategy: core.MonteCarlo, C: 2, Seed: 7})
+		mc, err := core.Compile(q, db, core.Options{Parallelism: 1, Strategy: core.MonteCarlo, C: 2, Seed: 7})
 		if err != nil {
 			panic(err)
 		}
+		stats := mc.Stats()
 		secs := bench.Seconds(20*time.Millisecond, func() {
-			if _, err := core.EvaluateBoolOpts(q, db, serialCore); err != nil {
+			if _, err := runBool(core.Compile(q, db, serialCore)); err != nil {
 				panic(err)
 			}
 		})
@@ -93,7 +94,7 @@ func runE3(w io.Writer, quick bool) {
 	fmt.Fprintln(w, "(c) Monte-Carlo analysis on a single-witness instance (simple 3-path on a 4-chain):")
 	q := workload.SimplePathQuery(3)
 	small := chainDB(4)
-	exact, err := core.EvaluateBoolOpts(q, small, core.Options{Parallelism: 1, Strategy: core.Exact})
+	exact, err := runBool(core.Compile(q, small, core.Options{Parallelism: 1, Strategy: core.Exact}))
 	if err != nil || !exact {
 		panic(fmt.Sprintf("instance should be satisfiable: %v %v", exact, err))
 	}
@@ -121,8 +122,8 @@ func runE3(w io.Writer, quick bool) {
 	for _, c := range []float64{0.5, 1, 2} {
 		succ := 0
 		for i := 0; i < runs; i++ {
-			ok, err := core.EvaluateBoolOpts(q, small,
-				core.Options{Parallelism: 1, Strategy: core.MonteCarlo, C: c, Seed: int64(1000 + i)})
+			ok, err := runBool(core.Compile(q, small,
+				core.Options{Parallelism: 1, Strategy: core.MonteCarlo, C: c, Seed: int64(1000 + i)}))
 			if err != nil {
 				panic(err)
 			}
@@ -152,11 +153,14 @@ func runE3(w io.Writer, quick bool) {
 		var stats core.Stats
 		var res *relation.Relation
 		secs := bench.Seconds(20*time.Millisecond, func() {
-			var err error
-			res, stats, err = core.EvaluateStats(qr, reg, st.opts)
+			pr, err := core.Compile(qr, reg, st.opts)
 			if err != nil {
 				panic(err)
 			}
+			if res, err = run(pr, nil); err != nil {
+				panic(err)
+			}
+			stats = pr.Stats()
 		})
 		match := "—"
 		if exactAnswer == nil {

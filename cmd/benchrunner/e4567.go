@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"time"
 
+	"pyquery"
 	"pyquery/internal/bench"
 	"pyquery/internal/core"
 	"pyquery/internal/datalog"
@@ -30,7 +31,7 @@ func runE4(w io.Writer, quick bool) {
 		g := graph.Random(4+rnd.Intn(4), 0.4+0.4*rnd.Float64(), rnd.Int63())
 		k := 2 + rnd.Intn(2)
 		q, db := reductions.CliqueToComparisons(g, k)
-		got, err := order.EvaluateBoolOpts(q, db, serialEval)
+		got, err := pyquery.EvaluateBoolOpts(q, db, serialNoCache)
 		if err == nil && got == g.HasClique(k) && order.IsAcyclicWithComparisons(q) {
 			agree++
 		}
@@ -49,7 +50,7 @@ func runE4(w io.Writer, quick bool) {
 			g := turan(n, k-1)
 			q, db := reductions.CliqueToComparisons(g, k)
 			secs := bench.Seconds(10*time.Millisecond, func() {
-				ok, err := order.EvaluateBoolOpts(q, db, serialEval)
+				ok, err := pyquery.EvaluateBoolOpts(q, db, serialNoCache)
 				if err != nil || ok {
 					panic("turán instance must be negative")
 				}
@@ -75,24 +76,24 @@ func runE5(w io.Writer, quick bool) {
 		org := workload.OrgChart(n, 40, 3, 21)
 		q := workload.MultiProjectQuery()
 		tCore := bench.Seconds(20*time.Millisecond, func() {
-			if _, err := core.EvaluateOpts(q, org, serialCore); err != nil {
+			if _, err := run(core.Compile(q, org, serialCore)); err != nil {
 				panic(err)
 			}
 		})
 		tGen := bench.Seconds(20*time.Millisecond, func() {
-			if _, err := eval.ConjunctiveOpts(q, org, serialEval); err != nil {
+			if _, err := run(eval.Compile(q, org, serialEval, nil)); err != nil {
 				panic(err)
 			}
 		})
 		reg := workload.Registrar(n, 60, 8, 3, 22)
 		qr := workload.OutsideDeptQuery()
 		tCoreR := bench.Seconds(20*time.Millisecond, func() {
-			if _, err := core.EvaluateOpts(qr, reg, serialCore); err != nil {
+			if _, err := run(core.Compile(qr, reg, serialCore)); err != nil {
 				panic(err)
 			}
 		})
 		tGenR := bench.Seconds(20*time.Millisecond, func() {
-			if _, err := eval.ConjunctiveOpts(qr, reg, serialEval); err != nil {
+			if _, err := run(eval.Compile(qr, reg, serialEval, nil)); err != nil {
 				panic(err)
 			}
 		})
@@ -128,13 +129,13 @@ func runE5(w io.Writer, quick bool) {
 	for _, width := range widths {
 		db := workload.DeadEndPathDB(width, k)
 		tCore := bench.Seconds(20*time.Millisecond, func() {
-			got, err := core.EvaluateBoolOpts(q, db, mc)
+			got, err := runBool(core.Compile(q, db, mc))
 			if err != nil || got {
 				panic("dead-end instance must be negative")
 			}
 		})
 		tGen := bench.Seconds(20*time.Millisecond, func() {
-			got, err := eval.ConjunctiveBoolOpts(q, db, serialEval)
+			got, err := runBool(eval.Compile(q, db, serialEval, nil))
 			if err != nil || got {
 				panic("dead-end instance must be negative")
 			}
@@ -166,7 +167,7 @@ func runE6(w io.Writer, quick bool) {
 		q, db := reductions.HamPathToIneqCQ(g)
 		_, wantOK := g.HamiltonianPath()
 		tEng := bench.Seconds(5*time.Millisecond, func() {
-			got, err := core.EvaluateBoolOpts(q, db, serialCore)
+			got, err := runBool(core.Compile(q, db, serialCore))
 			if err != nil || got != wantOK {
 				panic(fmt.Sprintf("engine disagrees with Held–Karp: %v %v", got, err))
 			}

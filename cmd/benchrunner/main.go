@@ -7,7 +7,7 @@
 // amortization (E9), the worst-case-optimal join workload (E10), the
 // incremental-view-maintenance update workload (E11), the columnar
 // substrate A/B (E12), the service-layer sustained-load and batching
-// experiment (E13), and the ablations A1–A7.
+// experiment (E13), and the ablations A1–A4, A6, A7.
 //
 // Usage:
 //
@@ -30,7 +30,7 @@ type experiment struct {
 }
 
 func main() {
-	expFlag := flag.String("exp", "all", "comma-separated experiment ids (E1..E13, A1..A7, PAR) or 'all'")
+	expFlag := flag.String("exp", "all", "comma-separated experiment ids (E1..E13, A1..A4, A6, A7, PAR) or 'all'")
 	quick := flag.Bool("quick", false, "smaller sweeps (CI-sized)")
 	flag.Parse()
 
@@ -52,7 +52,6 @@ func main() {
 		{"A2", "Ablation: Yannakakis full reducer on/off", runA2},
 		{"A3", "Ablation: join-order heuristic on/off", runA3},
 		{"A4", "Ablation: Monte-Carlo confidence c vs measured success rate", runA4},
-		{"A5", "Ablation: stats-driven join order vs legacy greedy heuristic", runA5},
 		{"A6", "Ablation: decomposition routing vs NoDecomp backtracker (cyclic low-width)", runA6},
 		{"A7", "Ablation: wcoj routing vs NoWCOJ backtracker (dense cyclic)", runA7},
 		{"PAR", "Parallel scaling: Parallelism sweep across engines and the join kernel", runPAR},

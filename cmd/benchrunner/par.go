@@ -1,15 +1,18 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"runtime"
 	"time"
 
+	"pyquery"
 	"pyquery/internal/bench"
 	"pyquery/internal/core"
 	"pyquery/internal/datalog"
 	"pyquery/internal/eval"
+	"pyquery/internal/governor"
 	"pyquery/internal/reductions"
 	"pyquery/internal/relation"
 	"pyquery/internal/workload"
@@ -24,7 +27,34 @@ var (
 	serialEval = eval.Options{Parallelism: 1}
 	serialCore = core.Options{Parallelism: 1}
 	serialYan  = yannakakis.Options{Parallelism: 1}
+	// serialNoCache is the facade's from-scratch serial path, for
+	// experiments that want routing (the comparisons class is the collapse
+	// rewrite in front of the backtracker — there is no engine to force).
+	serialNoCache = pyquery.Options{Parallelism: 1, NoCache: true}
 )
+
+// program is the compiled form every engine exports.
+type program interface {
+	Exec(context.Context, []relation.Value, *governor.Meter) (*relation.Relation, error)
+	ExecBool(context.Context, []relation.Value, *governor.Meter) (bool, error)
+}
+
+// run and runBool wrap an engine's Compile call into the one-shot the
+// experiments time — compile plus a single ungoverned execution:
+// run(eval.Compile(q, db, serialEval, nil)).
+func run(p program, err error) (*relation.Relation, error) {
+	if err != nil {
+		return nil, err
+	}
+	return p.Exec(context.Background(), nil, nil)
+}
+
+func runBool(p program, err error) (bool, error) {
+	if err != nil {
+		return false, err
+	}
+	return p.ExecBool(context.Background(), nil, nil)
+}
 
 // runPAR sweeps the Parallelism option across every engine and the
 // partitioned relational kernel, reporting wall time per level and the
@@ -71,17 +101,17 @@ func runPAR(w io.Writer, quick bool) {
 	targets := []target{
 		{"relation.NaturalJoinPar", func(p int) { relation.NaturalJoinPar(lhs, rhs, p) }},
 		{"generic E1 4-clique", func(p int) {
-			if ok, err := eval.ConjunctiveBoolOpts(cliqueQ, cliqueDB, eval.Options{Parallelism: p}); err != nil || ok {
+			if ok, err := runBool(eval.Compile(cliqueQ, cliqueDB, eval.Options{Parallelism: p}, nil)); err != nil || ok {
 				panic("negative clique instance expected")
 			}
 		}},
 		{"yannakakis path-5", func(p int) {
-			if _, err := yannakakis.EvaluateOpts(pathQ, pathDB, yannakakis.Options{Parallelism: p}); err != nil {
+			if _, err := run(yannakakis.Compile(pathQ, pathDB, yannakakis.Options{Parallelism: p})); err != nil {
 				panic(err)
 			}
 		}},
 		{"core org-chart", func(p int) {
-			if _, err := core.EvaluateOpts(orgQ, orgDB, core.Options{Parallelism: p}); err != nil {
+			if _, err := run(core.Compile(orgQ, orgDB, core.Options{Parallelism: p})); err != nil {
 				panic(err)
 			}
 		}},

@@ -41,15 +41,16 @@ import (
 	"time"
 
 	"pyquery"
+	"pyquery/internal/core"
 	"pyquery/internal/decomp"
 	"pyquery/internal/eval"
+	"pyquery/internal/governor"
 	"pyquery/internal/order"
+	"pyquery/internal/parallel"
 	"pyquery/internal/parser"
 	"pyquery/internal/relation"
 	"pyquery/internal/wcoj"
 	"pyquery/internal/yannakakis"
-
-	"pyquery/internal/core"
 )
 
 type relFlags []string
@@ -184,33 +185,25 @@ func main() {
 		// one Route (diagnostic-only: this re-plans once more on top of
 		// PlanDB's passes, an accepted -explain cost).
 		if report != nil && report.Engine == pyquery.EngineDecomp {
-			var st decomp.RunStats
-			res, st, err = decomp.EvaluateStats(q, db, decomp.Options{Parallelism: *par})
-			if err != nil {
-				fatal(err)
-			}
-			for i, bag := range st.Route.Bags {
-				actual := "- (skipped)"
-				if i < len(st.BagRows) && st.BagRows[i] >= 0 {
-					actual = fmt.Sprintf("%d", st.BagRows[i])
-				}
-				fmt.Printf("bag %d: estimated %.0f, actual %s\n", i+1, bag.Est, actual)
-			}
+			res, err = runDecomp(q, db, *par, true)
 			break
 		}
 		res, err = pyquery.EvaluateOpts(q, db, govOpts)
 	case "generic":
-		res, err = eval.ConjunctiveOpts(q, db, eval.Options{Parallelism: *par})
+		res, err = run(eval.Compile(q, db, eval.Options{Parallelism: *par}, nil))
 	case "yannakakis":
-		res, err = yannakakis.EvaluateOpts(q, db, yannakakis.Options{Parallelism: *par})
+		res, err = run(yannakakis.Compile(q, db, yannakakis.Options{Parallelism: *par}))
 	case "colorcoding":
-		res, err = core.EvaluateOpts(q, db, core.Options{Parallelism: *par})
+		res, err = run(core.Compile(q, db, core.Options{Parallelism: *par}))
 	case "comparisons":
-		res, err = order.EvaluateOpts(q, db, eval.Options{Parallelism: *par})
+		res, err = runCollapsed(q, db, *par)
 	case "decomp":
-		res, err = decomp.EvaluateOpts(q, db, decomp.Options{Parallelism: *par})
+		res, err = runDecomp(q, db, *par, false)
 	case "wcoj":
-		res, err = wcoj.Evaluate(q, db, *par)
+		var rt *wcoj.Route
+		if rt, err = wcoj.PlanFor(q, db); err == nil {
+			res, err = run(wcoj.Compile(q, rt, parallel.Workers(*par)))
+		}
 	default:
 		fatal(fmt.Errorf("unknown engine %q", *engine))
 	}
@@ -221,6 +214,53 @@ func main() {
 	if report != nil && !*boolOnly && res.Width() > 0 {
 		fmt.Printf("cardinality: estimated %.0f, actual %d\n", report.EstRows, res.Len())
 	}
+}
+
+// run executes a freshly compiled engine program once, ungoverned — every
+// engine's compiled form has the same Exec.
+func run(p interface {
+	Exec(context.Context, []relation.Value, *governor.Meter) (*relation.Relation, error)
+}, err error) (*relation.Relation, error) {
+	if err != nil {
+		return nil, err
+	}
+	return p.Exec(context.Background(), nil, nil)
+}
+
+// runDecomp forces the decomposition engine past its cost gate; with
+// explain it prints each bag's estimated vs. actual cardinality.
+func runDecomp(q *pyquery.CQ, db *pyquery.DB, par int, explain bool) (*relation.Relation, error) {
+	rt, err := decomp.PlanFor(q, db)
+	if err != nil {
+		return nil, err
+	}
+	prog, err := decomp.Compile(q, rt, parallel.Workers(par), nil)
+	if err != nil {
+		return nil, err
+	}
+	if explain {
+		for i, bag := range rt.Bags {
+			actual := "- (skipped)"
+			if i < len(prog.BagRows) && prog.BagRows[i] >= 0 {
+				actual = fmt.Sprintf("%d", prog.BagRows[i])
+			}
+			fmt.Printf("bag %d: estimated %.0f, actual %s\n", i+1, bag.Est, actual)
+		}
+	}
+	return prog.Exec(context.Background(), nil, nil)
+}
+
+// runCollapsed is the comparisons engine: the collapse rewrite in front of
+// the backtracker; inconsistent constraints mean the empty answer.
+func runCollapsed(q *pyquery.CQ, db *pyquery.DB, par int) (*relation.Relation, error) {
+	qc, err := order.Collapse(q)
+	if errors.Is(err, order.ErrInconsistent) {
+		return pyquery.NewTable(len(q.Head)), nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	return run(eval.Compile(qc, db, eval.Options{Parallelism: par}, nil))
 }
 
 // runWatch turns qeval into a standing query: it prints the initial answer,

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"os"
 
+	"pyquery"
 	"pyquery/internal/boolcirc"
 	"pyquery/internal/core"
 	"pyquery/internal/eval"
@@ -38,7 +39,7 @@ func main() {
 		fmt.Printf("graph: %v, k=%d\nquery: %v\n", g, *k, q)
 		fmt.Printf("query size q=%d, variables v=%d, database %d tuples\n",
 			q.Size(), q.NumVars(), db.Size())
-		got, err := eval.ConjunctiveBool(q, db)
+		got, err := pyquery.EvaluateBool(q, db)
 		check(err)
 		fmt.Printf("query answer: %v; clique oracle: %v\n", got, g.HasClique(*k))
 
@@ -48,7 +49,7 @@ func main() {
 		fmt.Printf("query: %d atoms, %d comparisons, acyclic=%v\n",
 			len(q.Atoms), len(q.Cmps), order.IsAcyclicWithComparisons(q))
 		fmt.Printf("database: P=%d R=%d tuples\n", db.MustRel("P").Len(), db.MustRel("R").Len())
-		got, err := order.EvaluateBool(q, db)
+		got, err := pyquery.EvaluateBool(q, db)
 		check(err)
 		fmt.Printf("query answer: %v; clique oracle: %v\n", got, g.HasClique(*k))
 
@@ -68,7 +69,7 @@ func main() {
 		q, db := reductions.HamPathToIneqCQ(g)
 		fmt.Printf("graph: %v\nquery: %d atoms, %d inequalities (acyclic-with-≠: %v)\n",
 			g, len(q.Atoms), len(q.Ineqs), core.IsAcyclicWithIneqs(q))
-		got, err := core.EvaluateBool(q, db)
+		got, err := pyquery.EvaluateBool(q, db)
 		check(err)
 		_, want := g.HamiltonianPath()
 		fmt.Printf("query answer: %v; Held–Karp oracle: %v\n", got, want)

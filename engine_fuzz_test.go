@@ -7,9 +7,7 @@ import (
 	"testing"
 
 	"pyquery"
-	"pyquery/internal/eval"
 	"pyquery/internal/relation"
-	"pyquery/internal/wcoj"
 	"pyquery/internal/workload"
 )
 
@@ -134,6 +132,84 @@ func wcojEligible(q *pyquery.CQ) bool {
 	return len(q.Atoms) > 0 && len(q.Ineqs) == 0 && len(q.Cmps) == 0 && len(q.Params()) == 0
 }
 
+// assertRoutingAgrees pins that planning and preparing cannot drift: the
+// report PlanDB rendered names the engine a default-options Prepare freezes,
+// Unsatisfiable holds exactly when that statement is the empty program, and
+// under each routing ablation the prepared engine is the router's decision
+// for those options.
+func assertRoutingAgrees(t *testing.T, tag string, q *pyquery.CQ, db *pyquery.DB, r *pyquery.PlanReport) {
+	t.Helper()
+	for _, opts := range []pyquery.Options{{}, {NoDecomp: true}, {NoWCOJ: true}, {NoDecomp: true, NoWCOJ: true}} {
+		p, err := pyquery.Prepare(q, db, opts)
+		if err != nil {
+			t.Fatalf("%s opts=%+v prepare: %v", tag, opts, err)
+		}
+		engine, unsat, err := pyquery.RouteOf(q, db, opts)
+		if err != nil {
+			t.Fatalf("%s opts=%+v route: %v", tag, opts, err)
+		}
+		if opts == (pyquery.Options{}) && (engine != r.Engine || unsat != r.Unsatisfiable) {
+			t.Fatalf("%s: PlanDB reports (%v, unsat=%v), the router decided (%v, unsat=%v)",
+				tag, r.Engine, r.Unsatisfiable, engine, unsat)
+		}
+		if p.Engine() != engine || pyquery.FrozeEmptyProgram(p) != unsat {
+			t.Fatalf("%s opts=%+v: prepared (%v, empty=%v), planned (%v, unsat=%v)",
+				tag, opts, p.Engine(), pyquery.FrozeEmptyProgram(p), engine, unsat)
+		}
+		if (opts.NoDecomp && engine == pyquery.EngineDecomp) || (opts.NoWCOJ && engine == pyquery.EngineWCOJ) {
+			t.Fatalf("%s opts=%+v: ablated engine %v still routed", tag, opts, engine)
+		}
+	}
+}
+
+// TestRoutingAgreesOnGroundFalseTriangle is the regression for the drift a
+// single router removes: a cyclic pure query falsified by a ground
+// comparison runs no engine at all, yet PlanDB used to report a satisfiable
+// backtracker plan while Prepare reported the decomposition engine — even
+// under NoDecomp.
+func TestRoutingAgreesOnGroundFalseTriangle(t *testing.T) {
+	db := pyquery.NewDB()
+	db.Set("E", randEdges(rand.New(rand.NewSource(3)), 40, 8))
+	q, err := pyquery.NewParser().ParseCQ(`Q(x) :- E(x,y), E(y,z), E(z,x), 1 < 0.`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := pyquery.PlanDB(q, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.Unsatisfiable || r.Engine != pyquery.EngineGeneric {
+		t.Fatalf("PlanDB reports (%v, unsat=%v), want the unsatisfiable generic class", r.Engine, r.Unsatisfiable)
+	}
+	assertRoutingAgrees(t, "ground-false triangle", q, db, r)
+	res, err := pyquery.EvaluateOpts(q, db, pyquery.Options{NoCache: true})
+	if err != nil || res.Len() != 0 {
+		t.Fatalf("ground-false triangle answered %v (%v), want empty", res, err)
+	}
+	// The same constraint on an acyclic body, and its ground-true twin (which
+	// must not disturb the acyclic engine).
+	for src, want := range map[string]bool{
+		`Q(x) :- E(x,y), 1 < 0.`: false,
+		`Q(x) :- E(x,y), 0 < 1.`: true,
+	} {
+		qa, err := pyquery.NewParser().ParseCQ(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ra, err := pyquery.PlanDB(qa, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ra.Engine != pyquery.EngineYannakakis || ra.Unsatisfiable == want {
+			t.Fatalf("%s: PlanDB reports (%v, unsat=%v)", src, ra.Engine, ra.Unsatisfiable)
+		}
+		assertRoutingAgrees(t, src, qa, db, ra)
+		if ok, err := pyquery.EvaluateBool(qa, db); err != nil || ok != want {
+			t.Fatalf("%s: EvaluateBool = (%v, %v), want %v", src, ok, err, want)
+		}
+	}
+}
+
 func TestEngineDifferentialFuzz(t *testing.T) {
 	cases := 560
 	if testing.Short() {
@@ -145,7 +221,7 @@ func TestEngineDifferentialFuzz(t *testing.T) {
 		q, db := fuzzInstance(rnd, seed%numFuzzShapes)
 		tag := fmt.Sprintf("seed=%d q=%v", seed, q)
 
-		want, err := eval.ConjunctiveOpts(q, db, eval.Options{Parallelism: 1, NoReorder: true})
+		want, err := reference(q, db)
 		if err != nil {
 			t.Fatalf("%s baseline: %v", tag, err)
 		}
@@ -154,6 +230,7 @@ func TestEngineDifferentialFuzz(t *testing.T) {
 			t.Fatalf("%s plan: %v", tag, err)
 		}
 		seenEngine[r.Engine]++
+		assertRoutingAgrees(t, tag, q, db, r)
 
 		for _, par := range []int{1, 3} {
 			for _, opts := range []pyquery.Options{
@@ -176,7 +253,7 @@ func TestEngineDifferentialFuzz(t *testing.T) {
 				}
 			}
 			if wcojEligible(q) {
-				lf, err := wcoj.Evaluate(q, db, par)
+				lf, err := forceWCOJ(q, db, par)
 				if err != nil {
 					t.Fatalf("%s wcoj par=%d: %v", tag, par, err)
 				}
@@ -221,6 +298,7 @@ func TestRefreshEquivalenceFuzz(t *testing.T) {
 			t.Fatalf("%s plan: %v", tag, err)
 		}
 		seenEngine[r.Engine]++
+		assertRoutingAgrees(t, tag, q, db, r)
 
 		// The relations the query reads, for targeted mutations.
 		var rels []string
@@ -302,7 +380,7 @@ func TestRefreshEquivalenceFuzz(t *testing.T) {
 				}
 				viewRows, view = next, rebuilt
 
-				want, err := eval.ConjunctiveOpts(q, db, eval.Options{Parallelism: 1, NoReorder: true})
+				want, err := reference(q, db)
 				if err != nil {
 					t.Fatalf("%s round=%d baseline: %v", tag, round, err)
 				}

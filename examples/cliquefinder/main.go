@@ -9,7 +9,7 @@ import (
 	"fmt"
 	"log"
 
-	"pyquery/internal/eval"
+	"pyquery"
 	"pyquery/internal/graph"
 	"pyquery/internal/order"
 	"pyquery/internal/reductions"
@@ -23,7 +23,7 @@ func main() {
 	// (a) Theorem 1: the clique query P ← ⋀ G(xi,xj).
 	q, db := reductions.CliqueToCQ(g, k)
 	fmt.Printf("conjunctive query (%d atoms, %d vars): %v\n", len(q.Atoms), q.NumVars(), q)
-	ok, err := eval.ConjunctiveBool(q, db)
+	ok, err := pyquery.EvaluateBool(q, db)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func main() {
 	qc, dbc := reductions.CliqueToComparisons(g, k)
 	fmt.Printf("comparison query: %d atoms, %d comparisons, acyclic=%v, |db|=%d\n",
 		len(qc.Atoms), len(qc.Cmps), order.IsAcyclicWithComparisons(qc), dbc.Size())
-	ok, err = order.EvaluateBool(qc, dbc)
+	ok, err = pyquery.EvaluateBool(qc, dbc)
 	if err != nil {
 		log.Fatal(err)
 	}

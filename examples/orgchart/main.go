@@ -5,13 +5,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
 
 	"pyquery"
 	"pyquery/internal/bench"
-	"pyquery/internal/core"
 	"pyquery/internal/eval"
 	"pyquery/internal/relation"
 	"pyquery/internal/workload"
@@ -29,16 +29,18 @@ func main() {
 		var coreRes *relation.Relation
 		tCore := bench.Seconds(10*time.Millisecond, func() {
 			var err error
-			coreRes, err = core.Evaluate(q, db)
+			coreRes, err = pyquery.EvaluateOpts(q, db, pyquery.Options{NoCache: true})
 			if err != nil {
 				log.Fatal(err)
 			}
 		})
 		var genRes *relation.Relation
 		tGen := bench.Seconds(10*time.Millisecond, func() {
-			var err error
-			genRes, err = eval.Conjunctive(q, db)
+			bt, err := eval.Compile(q, db, eval.Options{}, nil)
 			if err != nil {
+				log.Fatal(err)
+			}
+			if genRes, err = bt.Exec(context.Background(), nil, nil); err != nil {
 				log.Fatal(err)
 			}
 		})

@@ -31,7 +31,7 @@ func main() {
 		stats.K, stats.I1, stats.I2, stats.FamilySize, stats.Successes)
 
 	// Force the Monte-Carlo family and verify agreement.
-	mc, mcStats, err := core.EvaluateStats(q, db, core.Options{
+	mc, mcStats, err := pyquery.EvaluateStats(q, db, pyquery.Options{
 		Strategy: core.MonteCarlo, C: 3, Seed: 99,
 	})
 	if err != nil {

@@ -294,12 +294,16 @@ func TestDecompDegradeFallsBack(t *testing.T) {
 	// Calibrate the budget from the data: strictly between the number of
 	// satisfying assignments (what the degraded backtracker charges) and
 	// the cumulative bag rows (what the decomp compile charges).
-	_, st, err := decomp.EvaluateStats(cyc, db, decomp.Options{Parallelism: 1})
+	rt, err := decomp.PlanFor(cyc, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bags, err := decomp.Compile(cyc, rt, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cumBags := int64(0)
-	for _, r := range st.BagRows {
+	for _, r := range bags.BagRows {
 		if r > 0 {
 			cumBags += int64(r)
 		}

@@ -39,7 +39,7 @@ func TestPaperExampleEmployeesOnTwoProjects(t *testing.T) {
 	if !IsAcyclicWithIneqs(q) {
 		t.Fatal("the employee-project query is acyclic with inequalities")
 	}
-	got, err := Evaluate(q, orgDB())
+	got, err := run(q, orgDB(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestPaperExampleStudentsOutsideDept(t *testing.T) {
 	if !IsAcyclicWithIneqs(q) {
 		t.Fatal("registrar query is acyclic with inequalities")
 	}
-	got, err := Evaluate(q, registrarDB())
+	got, err := run(q, registrarDB(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestPartition(t *testing.T) {
 	if _, _, _, ok := Partition(q4); ok {
 		t.Fatal("x≠x accepted")
 	}
-	res, err := Evaluate(q4, orgDB())
+	res, err := run(q4, orgDB(), Options{})
 	if err != nil || res.Bool() {
 		t.Fatalf("x≠x query must be empty: %v %v", res, err)
 	}
@@ -138,7 +138,7 @@ func TestComparisonsRejected(t *testing.T) {
 		Atoms: []query.Atom{query.NewAtom("EP", query.V(0), query.V(1))},
 		Cmps:  []query.Cmp{query.Lt(query.V(0), query.V(1))},
 	}
-	if _, err := Evaluate(q, orgDB()); !errors.Is(err, ErrComparisons) {
+	if _, err := run(q, orgDB(), Options{}); !errors.Is(err, ErrComparisons) {
 		t.Fatalf("want ErrComparisons, got %v", err)
 	}
 	// Ground-true comparisons are fine; ground-false empty the query.
@@ -147,13 +147,13 @@ func TestComparisonsRejected(t *testing.T) {
 		Atoms: []query.Atom{query.NewAtom("EP", query.V(0), query.V(1))},
 		Cmps:  []query.Cmp{query.Lt(query.C(0), query.C(1))},
 	}
-	res, err := Evaluate(qt, orgDB())
+	res, err := run(qt, orgDB(), Options{})
 	if err != nil || !res.Bool() {
 		t.Fatalf("ground-true comparison: %v %v", res, err)
 	}
 	qf := qt.Clone()
 	qf.Cmps = []query.Cmp{query.Lt(query.C(1), query.C(0))}
-	res, err = Evaluate(qf, orgDB())
+	res, err = run(qf, orgDB(), Options{})
 	if err != nil || res.Bool() {
 		t.Fatalf("ground-false comparison: %v %v", res, err)
 	}
@@ -168,25 +168,25 @@ func TestCyclicRejected(t *testing.T) {
 		},
 		Ineqs: []query.Ineq{query.NeqVars(0, 2)},
 	}
-	if _, err := Evaluate(q, orgDB()); !errors.Is(err, ErrCyclic) {
+	if _, err := run(q, orgDB(), Options{}); !errors.Is(err, ErrCyclic) {
 		t.Fatalf("want ErrCyclic, got %v", err)
 	}
 }
 
 func TestDecide(t *testing.T) {
 	q := multiProjectQuery()
-	ok, err := Decide(q, orgDB(), []relation.Value{1}, Options{})
+	ok, err := decide(q, orgDB(), []relation.Value{1}, Options{})
 	if err != nil || !ok {
 		t.Fatalf("alice is on two projects: %v %v", ok, err)
 	}
-	ok, err = Decide(q, orgDB(), []relation.Value{4}, Options{})
+	ok, err = decide(q, orgDB(), []relation.Value{4}, Options{})
 	if err != nil || ok {
 		t.Fatalf("dave is on one project: %v %v", ok, err)
 	}
 	// Constant-head mismatch path.
 	qc := &query.CQ{Head: []query.Term{query.C(9)},
 		Atoms: []query.Atom{query.NewAtom("EP", query.V(0), query.V(1))}}
-	ok, err = Decide(qc, orgDB(), []relation.Value{8}, Options{})
+	ok, err = decide(qc, orgDB(), []relation.Value{8}, Options{})
 	if err != nil || ok {
 		t.Fatalf("head-constant mismatch must be false: %v %v", ok, err)
 	}
@@ -195,12 +195,12 @@ func TestDecide(t *testing.T) {
 func TestStrategiesAgree(t *testing.T) {
 	q := multiProjectQuery()
 	db := orgDB()
-	want, err := Evaluate(q, db)
+	want, err := run(q, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range []Strategy{Exact, WHP, MonteCarlo} {
-		got, err := EvaluateOpts(q, db, Options{Strategy: s, C: 6, Seed: 11})
+		got, err := run(q, db, Options{Strategy: s, C: 6, Seed: 11})
 		if err != nil {
 			t.Fatalf("strategy %d: %v", s, err)
 		}
@@ -214,11 +214,11 @@ func TestNoPushdownAgrees(t *testing.T) {
 	db := orgDB()
 	q := multiProjectQuery()
 	q.Ineqs = append(q.Ineqs, query.NeqConst(0, 2)) // exclude bob explicitly
-	want, err := Evaluate(q, db)
+	want, err := run(q, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := EvaluateStats(q, db, Options{NoPushdown: true})
+	got, stats, err := runStats(q, db, Options{NoPushdown: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestNoPushdownAgrees(t *testing.T) {
 
 func TestEvaluateBoolAndStats(t *testing.T) {
 	q := multiProjectQuery()
-	ok, stats, err := EvaluateBoolStats(q, orgDB(), Options{})
+	ok, stats, err := runBoolStats(q, orgDB(), Options{})
 	if err != nil || !ok {
 		t.Fatalf("bool: %v %v", ok, err)
 	}
@@ -246,7 +246,7 @@ func TestEvaluateBoolAndStats(t *testing.T) {
 	// A query made empty by the inequality.
 	db := query.NewDB()
 	db.Set("EP", query.Table(2, []relation.Value{1, 100}))
-	ok, _, err = EvaluateBoolStats(q, db, Options{})
+	ok, _, err = runBoolStats(q, db, Options{})
 	if err != nil || ok {
 		t.Fatalf("single-project world must be empty: %v %v", ok, err)
 	}
@@ -260,7 +260,7 @@ func TestNoIneqsDegeneratesToYannakakis(t *testing.T) {
 			query.NewAtom("EP", query.V(0), query.V(1)),
 		},
 	}
-	got, stats, err := EvaluateStats(q, db, Options{})
+	got, stats, err := runStats(q, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,14 +282,14 @@ func TestDisconnectedComponentsWithCrossIneq(t *testing.T) {
 		Atoms: []query.Atom{query.NewAtom("A", query.V(0)), query.NewAtom("B", query.V(1))},
 		Ineqs: []query.Ineq{query.NeqVars(0, 1)},
 	}
-	ok, err := EvaluateBool(q, db)
+	ok, err := runBool(q, db, Options{})
 	if err != nil || !ok {
 		t.Fatalf("A=2,B=1 satisfies x0≠x1: %v %v", ok, err)
 	}
 	db2 := query.NewDB()
 	db2.Set("A", query.Table(1, []relation.Value{1}))
 	db2.Set("B", query.Table(1, []relation.Value{1}))
-	ok, err = EvaluateBool(q, db2)
+	ok, err = runBool(q, db2, Options{})
 	if err != nil || ok {
 		t.Fatalf("A=B={1} cannot satisfy x0≠x1: %v %v", ok, err)
 	}
@@ -304,7 +304,7 @@ func TestHeadWithConstantsAndRepeats(t *testing.T) {
 		},
 		Ineqs: []query.Ineq{query.NeqVars(1, 2)},
 	}
-	got, err := Evaluate(q, orgDB())
+	got, err := run(q, orgDB(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

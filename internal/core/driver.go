@@ -10,27 +10,20 @@ import (
 	"pyquery/internal/parallel"
 	"pyquery/internal/query"
 	"pyquery/internal/relation"
+	"pyquery/internal/yannakakis"
 )
-
-// check is the engine's governed checkpoint: through the meter when one is
-// threaded (typed trips, fault hook), the plain nil-tolerant ctx poll
-// otherwise.
-func check(ctx context.Context, m *governor.Meter, step string) error {
-	if m != nil {
-		return m.Check(step)
-	}
-	return parallel.CtxErr(ctx)
-}
 
 // Program is a compiled Theorem 2 query: the hash-independent prepared
 // state (reduced relations with the I₂ pushdown applied, the join tree, the
 // Y-sets of Lemma 1) plus the hash family for the query's k. Everything is
 // read-only after Compile, so one Program may execute concurrently; each
-// execution re-runs only the per-hash passes. This is the serving form the
-// facade's prepared statements freeze for the color-coding class.
+// execution re-runs only the per-hash passes.
 type Program struct {
 	p   *prepared
 	fam []colorcoding.Func
+	// successes is the most recently finished execution's count of hash
+	// functions with nonempty Q_h (Stats reports it).
+	successes atomic.Int64
 }
 
 // Compile prepares q against db for repeated execution: partition the
@@ -52,42 +45,28 @@ func Compile(q *query.CQ, db *query.DB, opts Options) (*Program, error) {
 	return pr, nil
 }
 
-// Stats returns the compile-time statistics (K, I1, I2, FamilySize);
-// Successes is zero until an execution fills its own copy.
+// Stats reports what the program is and did: K, I1, I2, and FamilySize are
+// fixed at Compile; Successes is that of the most recently finished
+// execution (zero before the first).
 func (pr *Program) Stats() Stats {
-	return Stats{K: pr.p.k, I1: len(pr.p.i1), I2: len(pr.p.i2), FamilySize: len(pr.fam)}
+	return Stats{K: pr.p.k, I1: len(pr.p.i1), I2: len(pr.p.i2), FamilySize: len(pr.fam),
+		Successes: int(pr.successes.Load())}
 }
 
-// Exec computes Q(d) = ⋃_h Q_h(d) over the compiled family. The context is
-// checked between trial batches (the color-coding round boundary).
-func (pr *Program) Exec(ctx context.Context) (*relation.Relation, error) {
-	res, _, err := pr.ExecStats(ctx)
-	return res, err
-}
-
-// ExecStats is Exec with run statistics.
-func (pr *Program) ExecStats(ctx context.Context) (*relation.Relation, Stats, error) {
-	return pr.execStats(ctx, nil)
-}
-
-// ExecMeter is Exec under a resource meter: the meter is checked at every
-// trial-batch boundary and charged for each trial's materialized result, so
-// a row/byte budget (or an injected fault) trips between color-coding
-// rounds with the typed governor error.
-func (pr *Program) ExecMeter(ctx context.Context, m *governor.Meter) (*relation.Relation, error) {
-	res, _, err := pr.execStats(ctx, m)
-	return res, err
-}
-
-func (pr *Program) execStats(ctx context.Context, m *governor.Meter) (*relation.Relation, Stats, error) {
+// Exec computes Q(d) = ⋃_h Q_h(d) over the compiled family. The program
+// takes no bound values. The context/meter is checked at every trial-batch
+// boundary (the color-coding round) and the meter is charged for each
+// trial's materialized result, so a row/byte budget (or an injected fault)
+// trips between rounds with the typed governor error.
+func (pr *Program) Exec(ctx context.Context, _ []relation.Value, m *governor.Meter) (*relation.Relation, error) {
 	p := pr.p
-	stats := pr.Stats()
-	if err := check(ctx, m, "start"); err != nil {
-		return nil, stats, err
+	if err := governor.Check(ctx, m, "start"); err != nil {
+		return nil, err
 	}
 	if p.trivialEmpty {
-		return query.NewTable(len(p.q.Head)), stats, nil
+		return query.NewTable(len(p.q.Head)), nil
 	}
+	successes := int64(0)
 	outer, inner := parallel.Split(parallel.Workers(p.opts.Parallelism), len(pr.fam))
 	acc, err := batchedUnion(ctx, m, outer, len(pr.fam), func(i int) *relation.Relation {
 		pstar, ok := p.runHash(pr.fam[i], true, inner)
@@ -95,105 +74,66 @@ func (pr *Program) execStats(ctx context.Context, m *governor.Meter) (*relation.
 			return nil
 		}
 		return pstar
-	}, func() { stats.Successes++ })
+	}, func() { successes++ })
 	if err != nil {
-		return nil, stats, err
+		return nil, err
 	}
+	pr.successes.Store(successes)
 	if acc == nil {
-		return query.NewTable(len(p.q.Head)), stats, nil
+		return query.NewTable(len(p.q.Head)), nil
 	}
-	return p.headTuples(acc), stats, nil
+	return yannakakis.HeadTuples(p.q, acc), nil
 }
 
 // ExecBool decides Q(d) ≠ ∅ (Algorithm 1 only), stopping at the first hash
-// function that succeeds.
-func (pr *Program) ExecBool(ctx context.Context) (bool, error) {
-	ok, _, err := pr.ExecBoolStats(ctx)
-	return ok, err
-}
-
-// ExecBoolStats is ExecBool with run statistics.
-func (pr *Program) ExecBoolStats(ctx context.Context) (bool, Stats, error) {
-	return pr.execBoolStats(ctx, nil)
-}
-
-// ExecBoolMeter is ExecBool under a resource meter (checked between
-// trials; the decision pass materializes no output, so only checkpoint
-// trips — context, injected faults — can fire).
-func (pr *Program) ExecBoolMeter(ctx context.Context, m *governor.Meter) (bool, error) {
-	ok, _, err := pr.execBoolStats(ctx, m)
-	return ok, err
-}
-
-func (pr *Program) execBoolStats(ctx context.Context, m *governor.Meter) (bool, Stats, error) {
+// function that succeeds. The meter is checked between trials; the decision
+// pass materializes no output, so only checkpoint trips — context, injected
+// faults — can fire.
+func (pr *Program) ExecBool(ctx context.Context, _ []relation.Value, m *governor.Meter) (bool, error) {
 	p := pr.p
-	stats := pr.Stats()
-	if err := check(ctx, m, "start"); err != nil {
-		return false, stats, err
+	if err := governor.Check(ctx, m, "start"); err != nil {
+		return false, err
 	}
 	if p.trivialEmpty {
-		return false, stats, nil
+		return false, nil
 	}
+	var found atomic.Bool
 	outer, inner := parallel.Split(parallel.Workers(p.opts.Parallelism), len(pr.fam))
 	if outer <= 1 {
 		for _, h := range pr.fam {
-			if err := check(ctx, m, "trial"); err != nil {
-				return false, stats, err
+			if err := governor.Check(ctx, m, "trial"); err != nil {
+				return false, err
 			}
 			if _, ok := p.runHash(h, false, inner); ok {
-				stats.Successes = 1
-				return true, stats, nil
+				found.Store(true)
+				break
 			}
 		}
-		return false, stats, nil
-	}
-	var found atomic.Bool
-	err := parallel.ForEachCtx(ctx, outer, len(pr.fam), func(i int) {
-		if found.Load() || m.Tripped() {
-			return
+	} else {
+		err := parallel.ForEachCtx(ctx, outer, len(pr.fam), func(i int) {
+			if found.Load() || m.Tripped() {
+				return
+			}
+			if m.Check("trial") != nil {
+				return
+			}
+			if _, ok := p.runHash(pr.fam[i], false, inner); ok {
+				found.Store(true)
+			}
+		})
+		if err != nil {
+			return false, err
 		}
-		if m.Check("trial") != nil {
-			return
+		if err := m.Err(); err != nil {
+			return false, err
 		}
-		if _, ok := p.runHash(pr.fam[i], false, inner); ok {
-			found.Store(true)
-		}
-	})
-	if err != nil {
-		return false, stats, err
 	}
-	if err := m.Err(); err != nil {
-		return false, stats, err
-	}
+	var successes int64
 	if found.Load() {
-		stats.Successes = 1
-		return true, stats, nil
+		successes = 1
 	}
-	return false, stats, nil
-}
-
-// Evaluate computes Q(d) for an acyclic conjunctive query with inequalities
-// using the default (Auto) deterministic hash family. The result uses the
-// positional schema 0…len(head)−1.
-func Evaluate(q *query.CQ, db *query.DB) (*relation.Relation, error) {
-	res, _, err := EvaluateStats(q, db, Options{})
-	return res, err
-}
-
-// EvaluateOpts is Evaluate with explicit options.
-func EvaluateOpts(q *query.CQ, db *query.DB, opts Options) (*relation.Relation, error) {
-	res, _, err := EvaluateStats(q, db, opts)
-	return res, err
-}
-
-// EvaluateStats evaluates and reports run statistics. One-shot evaluation
-// is Compile followed by a single execution.
-func EvaluateStats(q *query.CQ, db *query.DB, opts Options) (*relation.Relation, Stats, error) {
-	pr, err := Compile(q, db, opts)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return pr.ExecStats(nil)
+	pr.successes.Store(successes)
+	return found.Load(), nil
 }
 
 // batchedUnion runs the independent trials run(0)…run(n−1) across the
@@ -209,7 +149,7 @@ func batchedUnion(ctx context.Context, m *governor.Meter, outer, n int, run func
 	var acc *relation.Relation
 	results := make([]*relation.Relation, outer)
 	for start := 0; start < n; start += outer {
-		if err := check(ctx, m, "trial-batch"); err != nil {
+		if err := governor.Check(ctx, m, "trial-batch"); err != nil {
 			return nil, err
 		}
 		k := n - start
@@ -241,28 +181,6 @@ func batchedUnion(ctx context.Context, m *governor.Meter, outer, n int, run func
 		}
 	}
 	return acc, nil
-}
-
-// EvaluateBool decides Q(d) ≠ ∅ (Algorithm 1 only), stopping at the first
-// hash function that succeeds.
-func EvaluateBool(q *query.CQ, db *query.DB) (bool, error) {
-	ok, _, err := EvaluateBoolStats(q, db, Options{})
-	return ok, err
-}
-
-// EvaluateBoolOpts is EvaluateBool with explicit options.
-func EvaluateBoolOpts(q *query.CQ, db *query.DB, opts Options) (bool, error) {
-	ok, _, err := EvaluateBoolStats(q, db, opts)
-	return ok, err
-}
-
-// EvaluateBoolStats decides emptiness and reports run statistics.
-func EvaluateBoolStats(q *query.CQ, db *query.DB, opts Options) (bool, Stats, error) {
-	pr, err := Compile(q, db, opts)
-	if err != nil {
-		return false, Stats{}, err
-	}
-	return pr.ExecBoolStats(nil)
 }
 
 // family constructs the hash family for a prepared query per the options.
@@ -303,17 +221,4 @@ func RunSingleHash(q *query.CQ, db *query.DB, h colorcoding.Func) (bool, error) 
 	}
 	_, ok := p.runHash(h, false, 1)
 	return ok, nil
-}
-
-// Decide answers the decision problem t ∈ Q(d) in the paper's sense:
-// substitute the constants of t into the body, then run the emptiness test.
-func Decide(q *query.CQ, db *query.DB, t []relation.Value, opts Options) (bool, error) {
-	bound, err := q.BindHead(t)
-	if query.IsTrivialMismatch(err) {
-		return false, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	return EvaluateBoolOpts(bound, db, opts)
 }

@@ -22,7 +22,6 @@ package core
 
 import (
 	"errors"
-	"time"
 
 	"pyquery/internal/colorcoding"
 	"pyquery/internal/eval"
@@ -38,7 +37,7 @@ var ErrCyclic = errors.New("core: query hypergraph is cyclic")
 // ErrComparisons is returned for queries with order comparisons, which are
 // W[1]-complete even for acyclic queries (Theorem 3) and are not handled by
 // this engine.
-var ErrComparisons = errors.New("core: comparison atoms are not fixed-parameter tractable here (Theorem 3); use eval.Conjunctive")
+var ErrComparisons = errors.New("core: comparison atoms are not fixed-parameter tractable here (Theorem 3); use the backtracker")
 
 // Strategy selects the hash family driving the color-coding loop.
 type Strategy int
@@ -58,7 +57,8 @@ const (
 	MonteCarlo
 )
 
-// Options configures the engine.
+// Options configures the engine. Every field is read here; the facade's
+// routing, caching, and governor options live on pyquery.Options.
 type Options struct {
 	Strategy Strategy
 	// C is the Monte-Carlo confidence multiplier (default 3).
@@ -73,52 +73,12 @@ type Options struct {
 	// the hash range — the paper's q-parameter extension. k grows, so the
 	// exponential factor grows; answers are identical.
 	NoPushdown bool
-	// NoDecomp disables the hypertree-decomposition engine (ablation A6):
-	// cyclic low-width queries fall back to the generic backtracker. It is
-	// consumed by the facade's routing (pyquery.EvaluateOpts); this engine
-	// ignores it.
-	NoDecomp bool
-	// NoWCOJ disables the worst-case-optimal leapfrog-triejoin engine
-	// (ablation A7): dense cyclic queries that would route there fall back
-	// to the generic backtracker (or the decomposition engine when its own
-	// gate fires first). It is consumed by the facade's routing
-	// (pyquery.EvaluateOpts); this engine ignores it.
-	NoWCOJ bool
-	// NoCache makes the facade's Evaluate* free functions plan from scratch
-	// instead of consulting the per-database prepared-plan cache — the
-	// pre-PR-5 one-shot behavior, kept for benchmarking the amortization
-	// (experiment E9) and for callers that never repeat a query. This
-	// engine ignores it.
-	NoCache bool
 	// Parallelism is the worker count. The independent hash-function trials
 	// of the color-coding loop run across workers; leftover budget flows
 	// into the partitioned join/semijoin kernel inside each trial. 0 means
 	// GOMAXPROCS; 1 is the serial engine. Results are set-equal at every
 	// setting (trials commute under union).
 	Parallelism int
-
-	// The resource governor (enforced by the facade's prepared layer; this
-	// engine receives the resulting meter, not the raw limits). All four
-	// fields are comparable, so Options stays usable as a plan-cache key.
-
-	// MaxRows caps the total materialized rows of one execution (answer
-	// rows, per-worker intermediates, tree-pass results, decomposition
-	// bags). 0 means unlimited. Exceeding it surfaces governor.ErrRowLimit.
-	MaxRows int64
-	// MemoryLimit caps the approximate materialized bytes of one execution
-	// (rows × width × 8; see governor.RelBytes). 0 means unlimited.
-	// Exceeding it surfaces governor.ErrMemoryLimit.
-	MemoryLimit int64
-	// Timeout, when positive, derives a per-execution deadline from the
-	// caller's context — sugar over the existing ctx plumbing. Expiry
-	// surfaces governor.ErrTimeout (which also matches
-	// context.DeadlineExceeded).
-	Timeout time.Duration
-	// Degrade softens a decomposition budget trip: when materializing the
-	// bags exceeds MaxRows/MemoryLimit, the bags are released (their charge
-	// refunded) and the query falls back to the generic backtracker under
-	// the remaining budget instead of failing.
-	Degrade bool
 }
 
 func (o Options) withDefaults() Options {
@@ -678,36 +638,4 @@ func (p *prepared) runHash(h colorcoding.Func, needOutput bool, inner int) (*rel
 	root := p.tree.Roots[0]
 	pstar := relation.Project(rels[root], p.headAttrs)
 	return pstar, pstar.Bool()
-}
-
-// headTuples maps a head-variable relation onto the positional head layout.
-func (p *prepared) headTuples(pstar *relation.Relation) *relation.Relation {
-	q := p.q
-	out := query.NewTable(len(q.Head))
-	if len(q.Head) == 0 {
-		if pstar.Bool() {
-			out.Append()
-		}
-		return out
-	}
-	pos := make([]int, len(q.Head))
-	for i, t := range q.Head {
-		if t.IsVar {
-			pos[i] = pstar.Pos(relation.Attr(t.Var))
-		} else {
-			pos[i] = -1
-		}
-	}
-	tuple := make([]relation.Value, len(q.Head))
-	for r := 0; r < pstar.Len(); r++ {
-		for i, t := range q.Head {
-			if pos[i] >= 0 {
-				tuple[i] = pstar.At(pos[i], r)
-			} else {
-				tuple[i] = t.Const
-			}
-		}
-		out.Append(tuple...)
-	}
-	return out.Dedup()
 }

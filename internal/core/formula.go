@@ -9,6 +9,7 @@ import (
 	"pyquery/internal/plan"
 	"pyquery/internal/query"
 	"pyquery/internal/relation"
+	"pyquery/internal/yannakakis"
 )
 
 // IneqFormula is a positive Boolean combination (∧/∨) of inequality atoms —
@@ -322,7 +323,7 @@ func EvaluateIneqFormula(q *query.CQ, phi IneqFormula, db *query.DB, opts Option
 	// Map head-variable rows onto the positional head layout.
 	p := &prepared{q: q}
 	p.finishHead()
-	return p.headTuples(acc), nil
+	return yannakakis.HeadTuples(p.q, acc), nil
 }
 
 // formulaFamily mirrors family() for the formula extension.

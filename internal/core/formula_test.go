@@ -43,7 +43,7 @@ func TestFromConjunctionMatchesEvaluate(t *testing.T) {
 	// conjunction engine on the Section 5 example.
 	db := orgDB()
 	q := multiProjectQuery()
-	want, err := Evaluate(q, db)
+	want, err := run(q, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

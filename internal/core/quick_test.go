@@ -98,7 +98,7 @@ func TestQuickCoreAgreesWithBrute(t *testing.T) {
 		if err != nil {
 			return true
 		}
-		got, err := EvaluateOpts(q, db, Options{Strategy: Exact})
+		got, err := run(q, db, Options{Strategy: Exact})
 		if err != nil {
 			t.Logf("seed %d: engine error %v on %v", seed, err, q)
 			return false
@@ -107,12 +107,12 @@ func TestQuickCoreAgreesWithBrute(t *testing.T) {
 			t.Logf("seed %d: mismatch on %v:\n got %v\nwant %v", seed, q, got, want)
 			return false
 		}
-		ok, err := EvaluateBoolOpts(q, db, Options{Strategy: Exact})
+		ok, err := runBool(q, db, Options{Strategy: Exact})
 		if err != nil || ok != want.Bool() {
 			t.Logf("seed %d: bool mismatch (%v vs %v; err %v)", seed, ok, want.Bool(), err)
 			return false
 		}
-		got2, err := EvaluateOpts(q, db, Options{Strategy: Exact, NoPushdown: true})
+		got2, err := run(q, db, Options{Strategy: Exact, NoPushdown: true})
 		if err != nil {
 			t.Logf("seed %d: NoPushdown error %v", seed, err)
 			return false
@@ -135,11 +135,11 @@ func TestQuickMonteCarloSoundness(t *testing.T) {
 	f := func(seed int64) bool {
 		rnd := rand.New(rand.NewSource(seed))
 		q, db := randAcyclicIneqInstance(rnd)
-		exact, err := EvaluateOpts(q, db, Options{Strategy: Exact})
+		exact, err := run(q, db, Options{Strategy: Exact})
 		if err != nil {
 			return true
 		}
-		mc, err := EvaluateOpts(q, db, Options{Strategy: MonteCarlo, C: 2, Seed: seed})
+		mc, err := run(q, db, Options{Strategy: MonteCarlo, C: 2, Seed: seed})
 		if err != nil {
 			t.Logf("seed %d: MC error %v", seed, err)
 			return false
@@ -163,11 +163,11 @@ func TestQuickWHPAgreesWithExact(t *testing.T) {
 	f := func(seed int64) bool {
 		rnd := rand.New(rand.NewSource(seed))
 		q, db := randAcyclicIneqInstance(rnd)
-		exact, err := EvaluateOpts(q, db, Options{Strategy: Exact})
+		exact, err := run(q, db, Options{Strategy: Exact})
 		if err != nil {
 			return true
 		}
-		whp, err := EvaluateOpts(q, db, Options{Strategy: WHP, Seed: seed})
+		whp, err := run(q, db, Options{Strategy: WHP, Seed: seed})
 		if err != nil {
 			t.Logf("seed %d: WHP error %v", seed, err)
 			return false

@@ -446,7 +446,11 @@ func countIDBAtoms(r Rule, idb map[string]int) int {
 // backtracker's fan-out.
 func fireRule(head query.Atom, body []query.Atom, work *query.DB, workers int) (*relation.Relation, error) {
 	q := &query.CQ{Head: head.Args, Atoms: body}
-	return eval.ConjunctiveOpts(q, work, eval.Options{Parallelism: workers})
+	c, err := eval.Compile(q, work, eval.Options{Parallelism: workers}, nil)
+	if err != nil {
+		return nil, err
+	}
+	return c.Exec(context.TODO(), nil, nil)
 }
 
 // VardiFamily returns the arity-k Datalog program of experiment E7:

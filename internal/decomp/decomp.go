@@ -18,7 +18,6 @@
 package decomp
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -43,38 +42,6 @@ const MaxWidth = 3
 // ErrNoDecomposition is returned when no width-≤ MaxWidth decomposition
 // exists for the query's hypergraph.
 var ErrNoDecomposition = errors.New("decomp: no width-≤3 hypertree decomposition")
-
-// Options controls the evaluator.
-type Options struct {
-	// Parallelism is the worker count: bags materialize concurrently with
-	// leftover budget flowing into the partitioned join kernel, and the
-	// Yannakakis passes over the bag tree inherit the same budget. 0 means
-	// GOMAXPROCS; 1 is the serial evaluator. The answer set is identical at
-	// every level.
-	Parallelism int
-	// Route reuses a plan from PlanFor (the facade passes the one the cost
-	// gate was decided on, so atoms are reduced exactly once). nil
-	// recomputes.
-	Route *Route
-	// Ctx, when cancelable, aborts the evaluation between bag
-	// materializations and between the Yannakakis pass steps; the engine
-	// then returns Ctx.Err() instead of a result.
-	Ctx context.Context
-	// Meter, when non-nil, governs the evaluation: bag materializations and
-	// pass steps become typed checkpoints, every materialized bag and pass
-	// relation is charged against the row/byte budget, and a trip aborts
-	// with the meter's typed error.
-	Meter *governor.Meter
-}
-
-// check is the evaluation-boundary checkpoint: governed when a meter is
-// threaded, the plain nil-tolerant ctx poll otherwise.
-func (o Options) check(step string) error {
-	if o.Meter != nil {
-		return o.Meter.Check(step)
-	}
-	return parallel.CtxErr(o.Ctx)
-}
 
 // BagPlan is the planning view of one bag.
 type BagPlan struct {
@@ -105,8 +72,8 @@ type Route struct {
 	// same inputs, and Use the gate verdict Cost < BacktrackCost.
 	BacktrackCost float64
 	Use           bool
-	// Root is the estimate-weighted bag-tree root (execution re-roots on
-	// actual materialized cardinalities; see Evaluate).
+	// Root is the estimate-weighted bag-tree root (Compile re-roots on
+	// actual materialized cardinalities).
 	Root int
 
 	vars   []query.Var // hypergraph vertex id → query variable
@@ -130,7 +97,7 @@ func Decomposable(q *query.CQ) bool {
 
 // eligible rejects query shapes the engine does not handle: ≠ atoms and
 // variable comparisons belong to the backtracker (cyclic) or the Theorem
-// 2/3 engines (acyclic). Ground comparisons are fine — Evaluate checks
+// 2/3 engines (acyclic). Ground comparisons are fine — Compile checks
 // them up front.
 func eligible(q *query.CQ) error {
 	if len(q.Atoms) == 0 {
@@ -150,8 +117,8 @@ func eligible(q *query.CQ) error {
 // PlanFor builds the decomposition plan: reduce the atoms once, estimate
 // every candidate bag with plan.BagCost (the search minimizes the summed
 // estimate), and compare against the backtracker's plan.Build cost. The
-// returned Route carries the reduced relations so EvaluateOpts can reuse
-// them via Options.Route.
+// returned Route carries the reduced relations so Compile materializes the
+// bags without re-reducing.
 func PlanFor(q *query.CQ, db *query.DB) (*Route, error) {
 	if err := eligible(q); err != nil {
 		return nil, err
@@ -210,103 +177,35 @@ func PlanFor(q *query.CQ, db *query.DB) (*Route, error) {
 	return rt, nil
 }
 
-// RunStats reports what an evaluation did: the decomposition width and each
-// bag's actual materialized cardinality (in Route bag order), for the
-// estimated-vs-actual line qeval -explain prints. A BagRows entry of −1
-// marks a bag never materialized because an earlier bag came up empty.
-type RunStats struct {
-	Width   int
+// Program is a compiled decomposition statement: the shared acyclic program
+// (yannakakis.Program — Exec/ExecBool run the full reducer and join-project
+// passes) over the frozen bag tree, plus what the bag materialization did.
+type Program struct {
+	*yannakakis.Program
+	// BagRows[i] is bag i's materialized cardinality, in Route bag order, for
+	// the estimated-vs-actual line qeval -explain prints; −1 marks a bag never
+	// materialized because an earlier bag came up empty. nil when an atom
+	// reduced to ∅ (or a ground comparison is false) and no bag was joined.
 	BagRows []int
-	Route   *Route
 }
 
-// Evaluate computes Q(d) through bag materialization + the shared
-// Yannakakis passes. The query must be a pure conjunctive query with a
-// width-≤ MaxWidth decomposition.
-func Evaluate(q *query.CQ, db *query.DB) (*relation.Relation, error) {
-	return EvaluateOpts(q, db, Options{})
-}
-
-// EvaluateOpts is Evaluate with explicit options.
-func EvaluateOpts(q *query.CQ, db *query.DB, opts Options) (*relation.Relation, error) {
-	res, _, err := EvaluateStats(q, db, opts)
-	return res, err
-}
-
-// EvaluateStats is EvaluateOpts returning per-bag statistics.
-func EvaluateStats(q *query.CQ, db *query.DB, opts Options) (*relation.Relation, RunStats, error) {
-	rt, workers, err := route(q, db, opts)
-	if err != nil {
-		return nil, RunStats{}, err
-	}
-	st := RunStats{Width: rt.Width, Route: rt}
-	if err := opts.check("start"); err != nil {
-		return nil, st, err
-	}
+// Compile materializes the route's bags and freezes them on their bag tree:
+// for a fixed database epoch the bags are as immutable as the plan, so the
+// O(n^width) bag joins are paid here, once, and each execution runs only the
+// acyclic passes. The bag joins are the one compile step that materializes
+// superlinear state, so they run under the compile meter m (nil =
+// ungoverned): every bag is a "bag" checkpoint and is charged at its actual
+// size, a trip returns the meter's typed error, and the charged totals are
+// pre-charged to every governed execution of the program.
+func Compile(q *query.CQ, rt *Route, workers int, m *governor.Meter) (*Program, error) {
 	if groundFalse(q) || anyEmpty(rt.reds) {
-		return query.NewTable(len(q.Head)), st, nil
+		return &Program{Program: yannakakis.NewProgram(q, nil, workers, 0, 0)}, nil
 	}
-	t, rows, empty := Materialize(q, rt, workers, opts.Ctx, opts.Meter)
-	st.BagRows = rows
-	if err := opts.check("materialize"); err != nil {
-		return nil, st, err
+	t, rows := materialize(q, rt, workers, m)
+	if err := m.Err(); err != nil {
+		return nil, err
 	}
-	if empty || t.FullReduce() {
-		if err := opts.check("reduce"); err != nil {
-			return nil, st, err
-		}
-		return query.NewTable(len(q.Head)), st, nil
-	}
-	pstar := t.JoinProject()
-	if err := opts.check("finish"); err != nil {
-		return nil, st, err
-	}
-	return yannakakis.HeadTuples(q, pstar), st, nil
-}
-
-// EvaluateBool decides Q(d) ≠ ∅ with bag materialization plus the bottom-up
-// semijoin pass only.
-func EvaluateBool(q *query.CQ, db *query.DB) (bool, error) {
-	return EvaluateBoolOpts(q, db, Options{})
-}
-
-// EvaluateBoolOpts is EvaluateBool with explicit options.
-func EvaluateBoolOpts(q *query.CQ, db *query.DB, opts Options) (bool, error) {
-	rt, workers, err := route(q, db, opts)
-	if err != nil {
-		return false, err
-	}
-	if err := opts.check("start"); err != nil {
-		return false, err
-	}
-	if groundFalse(q) || anyEmpty(rt.reds) {
-		return false, nil
-	}
-	t, _, empty := Materialize(q, rt, workers, opts.Ctx, opts.Meter)
-	if err := opts.check("materialize"); err != nil {
-		return false, err
-	}
-	if empty {
-		return false, nil
-	}
-	ok := !t.BottomUpSemijoin()
-	if err := opts.check("finish"); err != nil {
-		return false, err
-	}
-	return ok, nil
-}
-
-// route resolves the Options into a Route and worker budget.
-func route(q *query.CQ, db *query.DB, opts Options) (*Route, int, error) {
-	rt := opts.Route
-	if rt == nil {
-		var err error
-		rt, err = PlanFor(q, db)
-		if err != nil {
-			return nil, 0, err
-		}
-	}
-	return rt, parallel.Workers(opts.Parallelism), nil
+	return &Program{Program: yannakakis.NewProgram(q, t, workers, m.Rows(), m.Bytes()), BagRows: rows}, nil
 }
 
 // groundFalse reports whether a ground comparison already falsifies the
@@ -329,24 +228,19 @@ func anyEmpty(rels []*relation.Relation) bool {
 	return false
 }
 
-// Materialize joins each bag's guard atoms (plan.Build order, partitioned
+// materialize joins each bag's guard atoms (plan.Build order, partitioned
 // kernel), projects onto χ, and semijoin-enforces the bag's covered atoms;
 // bags run across workers with the leftover budget inside each join. The
 // bag tree is then re-rooted by plan.OrderForest on the *actual*
-// materialized cardinalities and wrapped as a yannakakis.Tree. empty means
-// some bag materialized to ∅ (the answer is empty).
-//
-// The facade's prepared layer calls this once at Prepare time and freezes
-// the returned tree as a template (yannakakis.Tree.Fork per execution):
-// for a fixed database epoch the materialized bags are as immutable as the
-// plan, so serving workloads pay the O(n^width) bag joins once and each
-// execution runs only the acyclic passes.
-func Materialize(q *query.CQ, rt *Route, workers int, ctx context.Context, m *governor.Meter) (t *yannakakis.Tree, bagRows []int, empty bool) {
+// materialized cardinalities and wrapped as a yannakakis.Tree. A nil tree
+// means some bag materialized to ∅ (the answer is empty) or the meter
+// tripped — the caller consults the meter before trusting it.
+func materialize(q *query.CQ, rt *Route, workers int, m *governor.Meter) (t *yannakakis.Tree, bagRows []int) {
 	nb := len(rt.Bags)
 	rels := make([]*relation.Relation, nb)
 	var sawEmpty atomic.Bool
 	outer, inner := parallel.Split(workers, nb)
-	if err := parallel.ForEachCtx(ctx, outer, nb, func(u int) {
+	parallel.ForEach(outer, nb, func(u int) {
 		if sawEmpty.Load() || m.Tripped() {
 			return // rels[u] stays nil: skipped, BagRows reports −1
 		}
@@ -355,25 +249,13 @@ func Materialize(q *query.CQ, rt *Route, workers int, ctx context.Context, m *go
 		}
 		r := rt.materializeBag(u, inner)
 		if m.Charge(int64(r.Len()), r.Bytes(), "bag") != nil {
-			// Over budget on this bag: leave the slot nil so the caller
-			// (which must consult the meter before trusting empty) can
-			// release exactly the rows/bytes that were charged.
-			return
+			return // over budget on this bag: the slot stays nil
 		}
 		rels[u] = r
 		if r.Empty() {
 			sawEmpty.Store(true)
 		}
-	}); err != nil {
-		// Canceled between bags: report what materialized; the caller
-		// surfaces ctx.Err() and discards the partial tree.
-		sawEmpty.Store(true)
-	}
-	if m.Tripped() {
-		// A trip mid-materialization leaves a partial bag set; the caller
-		// reads the typed error from the meter and discards the result.
-		sawEmpty.Store(true)
-	}
+	})
 	bagRows = make([]int, nb)
 	for u, r := range rels {
 		if r == nil {
@@ -382,8 +264,8 @@ func Materialize(q *query.CQ, rt *Route, workers int, ctx context.Context, m *go
 			bagRows[u] = r.Len()
 		}
 	}
-	if sawEmpty.Load() {
-		return nil, bagRows, true
+	if sawEmpty.Load() || m.Tripped() {
+		return nil, bagRows
 	}
 
 	bagInputs := make([]plan.Input, nb)
@@ -412,8 +294,7 @@ func Materialize(q *query.CQ, rt *Route, workers int, ctx context.Context, m *go
 	for _, v := range q.HeadVars() {
 		headVars[v] = true
 	}
-	return &yannakakis.Tree{Forest: tree, Rels: rels, SubtreeVars: subtreeVars,
-		HeadVars: headVars, Workers: workers, Ctx: ctx, Meter: m}, bagRows, false
+	return &yannakakis.Tree{Forest: tree, Rels: rels, SubtreeVars: subtreeVars, HeadVars: headVars}, bagRows
 }
 
 // materializeBag builds one bag relation: guard joins in plan.Build order

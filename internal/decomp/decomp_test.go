@@ -1,15 +1,53 @@
 package decomp
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"pyquery/internal/eval"
+	"pyquery/internal/parallel"
 	"pyquery/internal/query"
 	"pyquery/internal/relation"
 	"pyquery/internal/workload"
 )
+
+// compile forces the engine past its cost gate: PlanFor, then Compile with
+// the worker budget par, ungoverned.
+func compile(q *query.CQ, db *query.DB, par int) (*Program, error) {
+	rt, err := PlanFor(q, db)
+	if err != nil {
+		return nil, err
+	}
+	return Compile(q, rt, parallel.Workers(par), nil)
+}
+
+func run(q *query.CQ, db *query.DB, par int) (*relation.Relation, error) {
+	prog, err := compile(q, db, par)
+	if err != nil {
+		return nil, err
+	}
+	return prog.Exec(context.Background(), nil, nil)
+}
+
+func runBool(q *query.CQ, db *query.DB, par int) (bool, error) {
+	prog, err := compile(q, db, par)
+	if err != nil {
+		return false, err
+	}
+	return prog.ExecBool(context.Background(), nil, nil)
+}
+
+// reference is the suites' ground truth: the compiled backtracker in the
+// written atom order (no shared planning code).
+func reference(q *query.CQ, db *query.DB) (*relation.Relation, error) {
+	c, err := eval.Compile(q, db, eval.Options{Parallelism: 1, NoReorder: true}, nil)
+	if err != nil {
+		return nil, err
+	}
+	return c.Exec(context.Background(), nil, nil)
+}
 
 // randGraphDB builds {E(·,·)} with the given density.
 func randGraphDB(rnd *rand.Rand, rows, domain int) *query.DB {
@@ -65,19 +103,19 @@ func TestMatchesBacktracker(t *testing.T) {
 		db := randGraphDB(rnd, 20+rnd.Intn(60), 5+rnd.Intn(6))
 		q := randCyclicCQ(rnd)
 		tag := fmt.Sprintf("seed=%d q=%v", seed, q)
-		want, err := eval.ConjunctiveOpts(q, db, eval.Options{Parallelism: 1, NoReorder: true})
+		want, err := reference(q, db)
 		if err != nil {
 			t.Fatalf("%s baseline: %v", tag, err)
 		}
 		for _, par := range []int{1, 3} {
-			got, err := EvaluateOpts(q, db, Options{Parallelism: par})
+			got, err := run(q, db, par)
 			if err != nil {
 				t.Fatalf("%s decomp par=%d: %v", tag, par, err)
 			}
 			if !relation.EqualSet(got, want) {
 				t.Fatalf("%s: decomp par=%d disagrees\nwant %v\ngot %v", tag, par, want, got)
 			}
-			ok, err := EvaluateBoolOpts(q, db, Options{Parallelism: par})
+			ok, err := runBool(q, db, par)
 			if err != nil {
 				t.Fatalf("%s decomp bool par=%d: %v", tag, par, err)
 			}
@@ -88,44 +126,22 @@ func TestMatchesBacktracker(t *testing.T) {
 	}
 }
 
-// TestRouteReuse pins that passing a PlanFor route through Options changes
-// nothing (the facade's single-reduction path).
-func TestRouteReuse(t *testing.T) {
-	rnd := rand.New(rand.NewSource(42))
-	db := randGraphDB(rnd, 60, 8)
+// TestProgramReportsBagRows pins the route's width and the per-bag actual
+// cardinalities surfaced to qeval -explain.
+func TestProgramReportsBagRows(t *testing.T) {
+	rnd := rand.New(rand.NewSource(7))
+	db := randGraphDB(rnd, 50, 7)
 	q := cycleCQ(4)
 	rt, err := PlanFor(q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.Width != 2 {
-		t.Fatalf("4-cycle width = %d, want 2", rt.Width)
-	}
-	want, err := EvaluateOpts(q, db, Options{Parallelism: 1})
+	prog, err := Compile(q, rt, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := EvaluateOpts(q, db, Options{Parallelism: 1, Route: rt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !relation.EqualSet(got, want) {
-		t.Fatalf("route reuse changed the answer")
-	}
-}
-
-// TestStatsReportBagRows pins the per-bag actual cardinalities surfaced to
-// qeval -explain.
-func TestStatsReportBagRows(t *testing.T) {
-	rnd := rand.New(rand.NewSource(7))
-	db := randGraphDB(rnd, 50, 7)
-	q := cycleCQ(4)
-	_, st, err := EvaluateStats(q, db, Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Width != 2 || len(st.BagRows) != len(st.Route.Bags) {
-		t.Fatalf("stats: %+v", st)
+	if rt.Width != 2 || len(prog.BagRows) != len(rt.Bags) {
+		t.Fatalf("width %d, bag rows %v for %d bags", rt.Width, prog.BagRows, len(rt.Bags))
 	}
 }
 
@@ -134,12 +150,12 @@ func TestRejectsIneqAndVarCmp(t *testing.T) {
 	db := randGraphDB(rand.New(rand.NewSource(1)), 10, 4)
 	q := cycleCQ(3)
 	q.Ineqs = []query.Ineq{query.NeqVars(0, 1)}
-	if _, err := EvaluateOpts(q, db, Options{}); err == nil {
+	if _, err := run(q, db, 0); err == nil {
 		t.Fatal("≠ atoms must be rejected")
 	}
 	q2 := cycleCQ(3)
 	q2.Cmps = []query.Cmp{query.Lt(query.V(0), query.V(1))}
-	if _, err := EvaluateOpts(q2, db, Options{}); err == nil {
+	if _, err := run(q2, db, 0); err == nil {
 		t.Fatal("variable comparisons must be rejected")
 	}
 }
@@ -150,17 +166,17 @@ func TestGroundCmpAndEmptyAtom(t *testing.T) {
 	db := randGraphDB(rand.New(rand.NewSource(2)), 12, 4)
 	q := cycleCQ(3)
 	q.Cmps = []query.Cmp{query.Lt(query.C(1), query.C(0))} // false
-	res, err := EvaluateOpts(q, db, Options{})
+	res, err := run(q, db, 0)
 	if err != nil || !res.Empty() {
 		t.Fatalf("ground-false: %v %v", res, err)
 	}
 	q2 := cycleCQ(3)
 	q2.Atoms[0].Args[0] = query.C(999_999) // matches nothing
-	res, err = EvaluateOpts(q2, db, Options{})
+	res, err = run(q2, db, 0)
 	if err != nil || !res.Empty() {
 		t.Fatalf("empty atom: %v %v", res, err)
 	}
-	ok, err := EvaluateBoolOpts(q2, db, Options{})
+	ok, err := runBool(q2, db, 0)
 	if err != nil || ok {
 		t.Fatalf("empty atom bool: %v %v", ok, err)
 	}

@@ -14,11 +14,12 @@ import (
 // Compiled is a reusable compiled backtracking plan for one (query,
 // database) snapshot: atoms reduced, indexes frozen, the join order fixed
 // by internal/plan, and constraint checks compiled to assignment slots —
-// everything data- and query-dependent that Conjunctive recomputes per
-// call. Executions only probe the frozen indexes, so a Compiled is the
-// serving form behind the facade's prepared statements: build once, Exec
-// many times, concurrently if desired (the compiled state is read-only
-// after Compile; each execution owns its cursors and output).
+// everything data- and query-dependent. Executions only probe the frozen
+// indexes: build once, Exec many times, concurrently if desired (the
+// compiled state is read-only after Compile; each execution owns its
+// cursors and output). Compile+Exec is the only way to run the backtracker
+// — the facade's prepared statements, Datalog rule firings, and the
+// containment test all go through it.
 //
 // Parameters: every $name placeholder of the query becomes a pre-bound
 // variable slot, as does each extra variable in bind (the prepared Decide
@@ -102,50 +103,6 @@ func rewriteParams(q *query.CQ, params []string) (*query.CQ, []query.Var) {
 		out.Cmps[i] = query.Cmp{Left: mapTerm(cm.Left), Right: mapTerm(cm.Right), Strict: cm.Strict}
 	}
 	return out, paramVars
-}
-
-// stopFlag adapts a context to the cursors' per-node atomic polling: the
-// returned flag flips when ctx is canceled, and release detaches the
-// watcher. A nil or non-cancelable context costs nothing.
-func stopFlag(ctx context.Context) (*atomic.Bool, func()) {
-	if ctx == nil || ctx.Done() == nil {
-		return nil, func() {}
-	}
-	var f atomic.Bool
-	detach := context.AfterFunc(ctx, func() { f.Store(true) })
-	return &f, func() { detach() }
-}
-
-// stopMeter is stopFlag under a governor meter: the meter's own stop flag
-// (flipped by every trip) doubles as the cursor poll flag, and a cancelable
-// context flips the same flag, so the per-node hot path stays a single
-// atomic load no matter how many stop sources exist.
-func stopMeter(ctx context.Context, m *governor.Meter) (*atomic.Bool, func()) {
-	if m == nil {
-		return stopFlag(ctx)
-	}
-	f := m.StopFlag()
-	if ctx != nil && ctx.Done() != nil {
-		detach := context.AfterFunc(ctx, func() { f.Store(true) })
-		return f, func() { detach() }
-	}
-	return f, func() {}
-}
-
-// enter and finish are the execution-boundary checkpoints: typed through
-// the meter when one is threaded, the plain ctx poll otherwise.
-func enter(ctx context.Context, m *governor.Meter) error {
-	if m != nil {
-		return m.Check("start")
-	}
-	return parallel.CtxErr(ctx)
-}
-
-func finish(ctx context.Context, m *governor.Meter) error {
-	if m != nil {
-		return m.Check("finish")
-	}
-	return parallel.CtxErr(ctx)
 }
 
 // emitBatch is how many emitted rows a worker accumulates locally before
@@ -245,7 +202,7 @@ func (c *Compiled) checkVals(vals []relation.Value) error {
 func (c *Compiled) Exec(ctx context.Context, vals []relation.Value, m *governor.Meter) (*relation.Relation, error) {
 	e := c.e
 	out := query.NewTable(len(e.q.Head))
-	if err := enter(ctx, m); err != nil {
+	if err := governor.Check(ctx, m, "start"); err != nil {
 		return nil, err
 	}
 	if err := c.checkVals(vals); err != nil {
@@ -254,7 +211,7 @@ func (c *Compiled) Exec(ctx context.Context, vals []relation.Value, m *governor.
 	if e.trivialFalse {
 		return out, nil
 	}
-	stop, release := stopMeter(ctx, m)
+	stop, release := governor.Stop(ctx, m)
 	defer release()
 	workers := e.fanWidth(parallel.Workers(e.opts.Parallelism))
 	if workers <= 1 {
@@ -271,7 +228,7 @@ func (c *Compiled) Exec(ctx context.Context, vals []relation.Value, m *governor.
 				flush() // charge the partial batch before the finish check
 			}
 		}
-		if err := finish(ctx, m); err != nil {
+		if err := governor.Check(ctx, m, "finish"); err != nil {
 			return nil, err
 		}
 		return out, nil
@@ -304,7 +261,7 @@ func (c *Compiled) Exec(ctx context.Context, vals []relation.Value, m *governor.
 		}
 		outs[w] = local
 	})
-	if err := finish(ctx, m); err != nil {
+	if err := governor.Check(ctx, m, "finish"); err != nil {
 		return nil, err
 	}
 	seen := relation.NewTupleSet(len(e.q.Head))
@@ -326,7 +283,7 @@ func (c *Compiled) Exec(ctx context.Context, vals []relation.Value, m *governor.
 // decision search materializes nothing, so no rows are charged.
 func (c *Compiled) ExecBool(ctx context.Context, vals []relation.Value, m *governor.Meter) (bool, error) {
 	e := c.e
-	if err := enter(ctx, m); err != nil {
+	if err := governor.Check(ctx, m, "start"); err != nil {
 		return false, err
 	}
 	if err := c.checkVals(vals); err != nil {
@@ -338,16 +295,11 @@ func (c *Compiled) ExecBool(ctx context.Context, vals []relation.Value, m *gover
 	// halt stops every worker on cancellation, a meter trip, or the first
 	// witness; found records whether a witness was seen. With a meter the
 	// meter's stop flag is halt, so a trip anywhere stops the search.
-	var halt *atomic.Bool
 	var found atomic.Bool
-	if m != nil {
-		halt = m.StopFlag()
-	} else {
+	halt, release := governor.Stop(ctx, m)
+	defer release()
+	if halt == nil {
 		halt = new(atomic.Bool)
-	}
-	if ctx != nil && ctx.Done() != nil {
-		detach := context.AfterFunc(ctx, func() { halt.Store(true) })
-		defer detach()
 	}
 	workers := e.fanWidth(parallel.Workers(e.opts.Parallelism))
 	if workers <= 1 {
@@ -361,7 +313,7 @@ func (c *Compiled) ExecBool(ctx context.Context, vals []relation.Value, m *gover
 			})
 		}
 		if !found.Load() {
-			if err := finish(ctx, m); err != nil {
+			if err := governor.Check(ctx, m, "finish"); err != nil {
 				return false, err
 			}
 		}
@@ -390,7 +342,7 @@ func (c *Compiled) ExecBool(ctx context.Context, vals []relation.Value, m *gover
 		}
 	})
 	if !found.Load() {
-		if err := finish(ctx, m); err != nil {
+		if err := governor.Check(ctx, m, "finish"); err != nil {
 			return false, err
 		}
 	}
@@ -404,7 +356,7 @@ func (c *Compiled) ExecBool(ctx context.Context, vals []relation.Value, m *gover
 // runs the serial search regardless of the compiled Parallelism.
 func (c *Compiled) ForEach(ctx context.Context, vals []relation.Value, m *governor.Meter, fn func(tuple []relation.Value) bool) error {
 	e := c.e
-	if err := enter(ctx, m); err != nil {
+	if err := governor.Check(ctx, m, "start"); err != nil {
 		return err
 	}
 	if err := c.checkVals(vals); err != nil {
@@ -413,7 +365,7 @@ func (c *Compiled) ForEach(ctx context.Context, vals []relation.Value, m *govern
 	if e.trivialFalse {
 		return nil
 	}
-	stop, release := stopMeter(ctx, m)
+	stop, release := governor.Stop(ctx, m)
 	defer release()
 	cur := e.newCursor()
 	cur.stop = stop
@@ -459,5 +411,5 @@ func (c *Compiled) ForEach(ctx context.Context, vals []relation.Value, m *govern
 	if consumerStop {
 		return nil
 	}
-	return finish(ctx, m)
+	return governor.Check(ctx, m, "finish")
 }

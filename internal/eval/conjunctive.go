@@ -8,7 +8,6 @@ package eval
 import (
 	"sync/atomic"
 
-	"pyquery/internal/parallel"
 	"pyquery/internal/plan"
 	"pyquery/internal/query"
 	"pyquery/internal/relation"
@@ -18,75 +17,14 @@ import (
 // Options controls the conjunctive evaluator.
 type Options struct {
 	// NoReorder disables join ordering entirely and evaluates the atoms in
-	// the order written (ablation A3).
+	// the order written (ablation A3, and the reference path of the
+	// equivalence suites).
 	NoReorder bool
-	// LegacyGreedy restores the pre-planner ordering heuristic — fewest
-	// unbound variables, ties by raw relation size — instead of the
-	// cost-based order from internal/plan (ablation A5).
-	LegacyGreedy bool
 	// Parallelism is the worker count for the first-step fan-out: the rows
 	// matched by the first plan step are split into contiguous chunks and
 	// each worker backtracks through the remaining steps independently.
 	// 0 means GOMAXPROCS; 1 is the serial evaluator.
 	Parallelism int
-}
-
-// Conjunctive evaluates a conjunctive query (with optional ≠ and comparison
-// atoms) by backtracking search, returning the answer relation over the
-// positional schema 0…len(head)−1. This is the generic evaluator whose
-// running time is n^{O(q)}; it exists both as a baseline and as a general
-// fallback for cyclic queries.
-func Conjunctive(q *query.CQ, db *query.DB) (*relation.Relation, error) {
-	return ConjunctiveOpts(q, db, Options{})
-}
-
-// ConjunctiveOpts is Conjunctive with explicit options.
-func ConjunctiveOpts(q *query.CQ, db *query.DB, opts Options) (*relation.Relation, error) {
-	e, err := newBacktracker(q, db, opts, nil)
-	if err != nil {
-		return nil, err
-	}
-	out := query.NewTable(len(q.Head))
-	if e.trivialFalse {
-		return out, nil
-	}
-	workers := e.fanWidth(parallel.Workers(opts.Parallelism))
-	if workers <= 1 {
-		c := e.newCursor()
-		c.run(e.collector(c, out, relation.NewTupleSet(len(q.Head))))
-		return out, nil
-	}
-	// Fan out over the first binding step's rows. Each worker owns a cursor,
-	// an output buffer, and a seen-set; buffers are merged in worker order
-	// with a global dedup, so because chunks are contiguous and in order the
-	// emission order matches the serial evaluator's exactly.
-	fs := e.fanStep
-	st := &e.plan[fs]
-	outs := make([]*relation.Relation, workers)
-	parallel.Chunks(workers, st.rel.Len(), func(w, lo, hi int) {
-		c := e.newCursor()
-		local := query.NewTable(len(e.q.Head))
-		emit := e.collector(c, local, relation.NewTupleSet(len(e.q.Head)))
-		for i := lo; i < hi; i++ {
-			if !c.bindRowID(st, i) {
-				continue
-			}
-			c.rec(fs+1, emit)
-		}
-		outs[w] = local
-	})
-	seen := relation.NewTupleSet(len(q.Head))
-	for _, local := range outs {
-		if local == nil {
-			continue
-		}
-		for i := 0; i < local.Len(); i++ {
-			if seen.AddRelRow(local, i) {
-				out.AppendRowOf(local, i)
-			}
-		}
-	}
-	return out, nil
 }
 
 // collector returns an emit callback extracting the head tuple from the
@@ -115,54 +53,6 @@ func (e *backtracker) collector(c *cursor, out *relation.Relation, seen *relatio
 		}
 		return true // keep searching
 	}
-}
-
-// ConjunctiveBool decides whether Q(d) is nonempty, stopping at the first
-// witness. For the decision problem t ∈ Q(d), bind the head first with
-// CQ.BindHead.
-func ConjunctiveBool(q *query.CQ, db *query.DB) (bool, error) {
-	return ConjunctiveBoolOpts(q, db, Options{})
-}
-
-// ConjunctiveBoolOpts is ConjunctiveBool with explicit options.
-func ConjunctiveBoolOpts(q *query.CQ, db *query.DB, opts Options) (bool, error) {
-	e, err := newBacktracker(q, db, opts, nil)
-	if err != nil {
-		return false, err
-	}
-	if e.trivialFalse {
-		return false, nil
-	}
-	workers := e.fanWidth(parallel.Workers(opts.Parallelism))
-	if workers <= 1 {
-		found := false
-		c := e.newCursor()
-		c.run(func() bool {
-			found = true
-			return false // stop
-		})
-		return found, nil
-	}
-	fs := e.fanStep
-	st := &e.plan[fs]
-	var found atomic.Bool
-	parallel.Chunks(workers, st.rel.Len(), func(_, lo, hi int) {
-		c := e.newCursor()
-		c.stop = &found // another worker's witness halts this search tree
-		emit := func() bool {
-			found.Store(true)
-			return false // stop this worker
-		}
-		for i := lo; i < hi && !found.Load(); i++ {
-			if !c.bindRowID(st, i) {
-				continue
-			}
-			if !c.rec(fs+1, emit) {
-				return
-			}
-		}
-	})
-	return found.Load(), nil
 }
 
 // backtracker holds the compiled plan for one (query, database) pair. The
@@ -302,18 +192,15 @@ func newBacktracker(q *query.CQ, db *query.DB, opts Options, preBound []query.Va
 	// (estimated intermediate cardinalities from exact reduced sizes plus
 	// cached base-table distinct counts); because the working database's
 	// statistics are consulted on every construction, Datalog's per-round
-	// firings re-plan against the current IDB sizes for free. LegacyGreedy
-	// and NoReorder are the ablation paths.
+	// firings re-plan against the current IDB sizes for free. NoReorder is
+	// the ablation (and reference) path.
 	var order []int
-	switch {
-	case opts.NoReorder:
+	if opts.NoReorder {
 		order = make([]int, len(q.Atoms))
 		for i := range order {
 			order[i] = i
 		}
-	case opts.LegacyGreedy:
-		order = legacyGreedyOrder(reds)
-	default:
+	} else {
 		order = plan.BuildBound(planInputs(q, db, reds), q.HeadVars(), preBound).Order()
 	}
 
@@ -451,39 +338,6 @@ func planInputs(q *query.CQ, db *query.DB, reds []reduced) []plan.Input {
 		inputs[i] = plan.Input{Label: a.Rel, Rows: rd.rel.Len(), Vars: rd.vars, Distinct: dist, MaxFreq: freq}
 	}
 	return inputs
-}
-
-// legacyGreedyOrder is the pre-planner heuristic (ablation A5): pick the
-// atom with the fewest unbound variables, breaking ties by relation size.
-func legacyGreedyOrder(reds []reduced) []int {
-	order := make([]int, 0, len(reds))
-	used := make([]bool, len(reds))
-	bound := make(map[query.Var]bool)
-	for len(order) < len(reds) {
-		best, bestUnbound, bestSize := -1, 0, 0
-		for i := range reds {
-			if used[i] {
-				continue
-			}
-			unbound := 0
-			for _, v := range reds[i].vars {
-				if !bound[v] {
-					unbound++
-				}
-			}
-			size := reds[i].rel.Len()
-			if best == -1 || unbound < bestUnbound ||
-				(unbound == bestUnbound && size < bestSize) {
-				best, bestUnbound, bestSize = i, unbound, size
-			}
-		}
-		used[best] = true
-		order = append(order, best)
-		for _, v := range reds[best].vars {
-			bound[v] = true
-		}
-	}
-	return order
 }
 
 // PlanFor builds, without evaluating, the cost-based logical plan the

@@ -22,7 +22,7 @@ func TestConjunctivePathQuery(t *testing.T) {
 		Head:  []query.Term{query.V(0), query.V(2)},
 		Atoms: []query.Atom{query.NewAtom("E", query.V(0), query.V(1)), query.NewAtom("E", query.V(1), query.V(2))},
 	}
-	res, err := Conjunctive(q, pathDB())
+	res, err := run(q, pathDB(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,12 +38,12 @@ func TestConjunctiveBooleanAndConstants(t *testing.T) {
 	db := pathDB()
 	// Boolean: is there an edge out of 2?
 	q := &query.CQ{Atoms: []query.Atom{query.NewAtom("E", query.C(2), query.V(0))}}
-	ok, err := ConjunctiveBool(q, db)
+	ok, err := runBool(q, db, Options{})
 	if err != nil || !ok {
 		t.Fatalf("edge out of 2 exists: %v %v", ok, err)
 	}
 	q2 := &query.CQ{Atoms: []query.Atom{query.NewAtom("E", query.C(3), query.V(0))}}
-	ok, err = ConjunctiveBool(q2, db)
+	ok, err = runBool(q2, db, Options{})
 	if err != nil || ok {
 		t.Fatalf("no edge out of 3: %v %v", ok, err)
 	}
@@ -58,7 +58,7 @@ func TestConjunctiveRepeatedVariable(t *testing.T) {
 		Head:  []query.Term{query.V(0)},
 		Atoms: []query.Atom{query.NewAtom("R", query.V(0), query.V(0))},
 	}
-	res, err := Conjunctive(q, db)
+	res, err := run(q, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestConjunctiveWithIneqAndCmp(t *testing.T) {
 		Ineqs: []query.Ineq{query.NeqVars(0, 2)},
 		Cmps:  []query.Cmp{query.Lt(query.V(0), query.V(2))},
 	}
-	res, err := Conjunctive(q, db)
+	res, err := run(q, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestConjunctiveWithIneqAndCmp(t *testing.T) {
 	// Now exclude via x2 ≠ 2 and x0 > 0 … i.e. 0 < x0.
 	q.Ineqs = append(q.Ineqs, query.NeqConst(2, 2))
 	q.Cmps = append(q.Cmps, query.Lt(query.C(0), query.V(0)))
-	res, err = Conjunctive(q, db)
+	res, err = run(q, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestConjunctiveWithIneqAndCmp(t *testing.T) {
 func TestConjunctiveNoAtoms(t *testing.T) {
 	db := pathDB()
 	q := &query.CQ{Head: []query.Term{query.C(7)}}
-	res, err := Conjunctive(q, db)
+	res, err := run(q, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestConjunctiveNoAtoms(t *testing.T) {
 	}
 	// Ground false comparison makes it empty.
 	q.Cmps = []query.Cmp{query.Lt(query.C(1), query.C(0))}
-	res, err = Conjunctive(q, db)
+	res, err = run(q, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestConjunctiveCrossProductComponents(t *testing.T) {
 		Head:  []query.Term{query.V(0), query.V(1)},
 		Atoms: []query.Atom{query.NewAtom("A", query.V(0)), query.NewAtom("B", query.V(1))},
 	}
-	res, err := Conjunctive(q, db)
+	res, err := run(q, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestConjunctiveEmptyRelationShortCircuits(t *testing.T) {
 	q := &query.CQ{
 		Atoms: []query.Atom{query.NewAtom("E", query.V(0), query.V(1)), query.NewAtom("Z", query.V(0))},
 	}
-	ok, err := ConjunctiveBool(q, db)
+	ok, err := runBool(q, db, Options{})
 	if err != nil || ok {
 		t.Fatalf("empty atom must falsify query: %v %v", ok, err)
 	}
@@ -161,11 +161,11 @@ func TestNoReorderOptionGivesSameAnswers(t *testing.T) {
 			query.NewAtom("E", query.V(0), query.V(1)),
 		},
 	}
-	a, err := ConjunctiveOpts(q, db, Options{NoReorder: true})
+	a, err := run(q, db, Options{NoReorder: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ConjunctiveOpts(q, db, Options{})
+	b, err := run(q, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,13 +335,13 @@ func TestContainmentWithConstantsAndErrors(t *testing.T) {
 func TestValidationErrorsPropagate(t *testing.T) {
 	db := pathDB()
 	bad := &query.CQ{Atoms: []query.Atom{query.NewAtom("Nope", query.V(0))}}
-	if _, err := Conjunctive(bad, db); err == nil {
+	if _, err := run(bad, db, Options{}); err == nil {
 		t.Fatal("unknown relation accepted")
 	}
 	if _, err := ConjunctiveBrute(bad, db); err == nil {
 		t.Fatal("unknown relation accepted by brute")
 	}
-	if _, err := ConjunctiveBool(bad, db); err == nil {
+	if _, err := runBool(bad, db, Options{}); err == nil {
 		t.Fatal("unknown relation accepted by bool")
 	}
 }

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 
 	"pyquery/internal/query"
@@ -98,7 +99,11 @@ func Contained(sub, super *query.CQ) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return ConjunctiveBool(bound, db)
+	c, err := Compile(bound, db, Options{}, nil)
+	if err != nil {
+		return false, err
+	}
+	return c.ExecBool(context.TODO(), nil, nil)
 }
 
 // Equivalent reports whether the two pure CQs are semantically equivalent

@@ -103,11 +103,11 @@ func TestQuickMinimizePreservesSemantics(t *testing.T) {
 			t.Logf("seed %d: minimization grew the query", seed)
 			return false
 		}
-		want, err := Conjunctive(q, db)
+		want, err := run(q, db, Options{})
 		if err != nil {
 			return true
 		}
-		got, err := Conjunctive(m, db)
+		got, err := run(m, db, Options{})
 		if err != nil {
 			t.Logf("seed %d: minimized query fails to evaluate: %v", seed, err)
 			return false

@@ -52,16 +52,16 @@ func TestParallelBacktrackerMatchesSerial(t *testing.T) {
 			Ineqs: []query.Ineq{query.NeqVars(0, 2)},
 			Cmps:  []query.Cmp{query.Le(query.V(1), query.V(2))},
 		}
-		serial, err := ConjunctiveOpts(q, db, Options{Parallelism: 1})
+		serial, err := run(q, db, Options{Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		serialOK, err := ConjunctiveBoolOpts(q, db, Options{Parallelism: 1})
+		serialOK, err := runBool(q, db, Options{Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, par := range []int{2, 3, 8} {
-			got, err := ConjunctiveOpts(q, db, Options{Parallelism: par})
+			got, err := run(q, db, Options{Parallelism: par})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -75,7 +75,7 @@ func TestParallelBacktrackerMatchesSerial(t *testing.T) {
 					}
 				}
 			}
-			gotOK, err := ConjunctiveBoolOpts(q, db, Options{Parallelism: par})
+			gotOK, err := runBool(q, db, Options{Parallelism: par})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,11 +104,11 @@ func TestParallelBacktrackerGroundPrefix(t *testing.T) {
 			query.NewAtom("E", query.V(1), query.V(0)),
 		},
 	}
-	serial, err := ConjunctiveOpts(q, db, Options{Parallelism: 1})
+	serial, err := run(q, db, Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := ConjunctiveOpts(q, db, Options{Parallelism: 4})
+	par, err := run(q, db, Options{Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,7 +87,7 @@ func TestQuickConjunctiveAgreesWithBrute(t *testing.T) {
 		if err != nil {
 			return true // invalid instance; nothing to compare
 		}
-		got, err := Conjunctive(q, db)
+		got, err := run(q, db, Options{})
 		if err != nil {
 			t.Logf("seed %d: evaluator error %v on %v", seed, err, q)
 			return false
@@ -96,13 +96,13 @@ func TestQuickConjunctiveAgreesWithBrute(t *testing.T) {
 			t.Logf("seed %d: mismatch on %v:\n got %v\nwant %v", seed, q, got, want)
 			return false
 		}
-		got2, err := ConjunctiveOpts(q, db, Options{NoReorder: true})
+		got2, err := run(q, db, Options{NoReorder: true})
 		if err != nil || !relation.EqualSet(got2, want) {
 			t.Logf("seed %d: NoReorder mismatch", seed)
 			return false
 		}
 		okWant := want.Bool()
-		okGot, err := ConjunctiveBool(q, db)
+		okGot, err := runBool(q, db, Options{})
 		if err != nil || okGot != okWant {
 			t.Logf("seed %d: bool mismatch", seed)
 			return false
@@ -129,7 +129,7 @@ func TestQuickCQMatchesFOTranslation(t *testing.T) {
 			return true
 		}
 		fo := &query.FOQuery{Head: q.Head, Body: body}
-		want, err := Conjunctive(q, db)
+		want, err := run(q, db, Options{})
 		if err != nil {
 			return true
 		}

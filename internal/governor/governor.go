@@ -161,6 +161,38 @@ func (m *Meter) Check(step string) error {
 	return nil
 }
 
+// Check is the engines' boundary checkpoint under an optional meter: the
+// governed m.Check when a meter is threaded, the plain nil-tolerant ctx poll
+// otherwise — so an ungoverned execution pays one pointer test.
+func Check(ctx context.Context, m *Meter, step string) error {
+	if m != nil {
+		return m.Check(step)
+	}
+	if ctx == nil {
+		return nil
+	}
+	return ctx.Err()
+}
+
+// Stop returns the one flag a search polls per node: the meter's own stop
+// flag (flipped by every trip) when a meter is threaded, which a cancelable
+// context flips too, so the hot path stays a single atomic load no matter
+// how many stop sources exist. The flag is nil when there is nothing to
+// watch; release detaches the context watcher.
+func Stop(ctx context.Context, m *Meter) (flag *atomic.Bool, release func()) {
+	if m != nil {
+		flag = &m.stop
+	}
+	if ctx == nil || ctx.Done() == nil {
+		return flag, func() {}
+	}
+	if flag == nil {
+		flag = new(atomic.Bool)
+	}
+	detach := context.AfterFunc(ctx, func() { flag.Store(true) })
+	return flag, func() { detach() }
+}
+
 // Charge adds rows materialized rows and bytes approximate bytes and trips
 // when a budget is exceeded. It is also a hook checkpoint, so the
 // fault-injection sweep covers charge sites; it does not poll the context
@@ -215,11 +247,6 @@ func (m *Meter) Err() error {
 
 // Tripped reports whether a trip has been recorded.
 func (m *Meter) Tripped() bool { return m != nil && m.trip.Load() != nil }
-
-// StopFlag exposes the meter's stop flag for per-node pollers (the
-// backtracker's cursors): every trip flips it, and the caller may also
-// flip it from a context watcher. Only valid on a non-nil meter.
-func (m *Meter) StopFlag() *atomic.Bool { return &m.stop }
 
 // Rows and Bytes report the charged totals (0 on a nil meter).
 func (m *Meter) Rows() int64 {

@@ -51,7 +51,7 @@ func TestRowLimitTrip(t *testing.T) {
 	if err2 := m.Check("finish"); !errors.Is(err2, ErrRowLimit) {
 		t.Fatalf("trip not sticky: %v", err2)
 	}
-	if !m.StopFlag().Load() {
+	if flag, _ := Stop(nil, m); !flag.Load() {
 		t.Fatal("trip did not flip the stop flag")
 	}
 }

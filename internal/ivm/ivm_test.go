@@ -49,7 +49,11 @@ func (mr *mirror) apply(added, removed *relation.Relation) {
 
 func (mr *mirror) check(q *query.CQ, db *query.DB) {
 	mr.t.Helper()
-	want, err := eval.ConjunctiveOpts(q, db, eval.Options{Parallelism: 1})
+	bt, err := eval.Compile(q, db, eval.Options{Parallelism: 1}, nil)
+	if err != nil {
+		mr.t.Fatalf("fresh evaluation: %v", err)
+	}
+	want, err := bt.Exec(context.Background(), nil, nil)
 	if err != nil {
 		mr.t.Fatalf("fresh evaluation: %v", err)
 	}

@@ -3,10 +3,8 @@ package order
 import (
 	"errors"
 
-	"pyquery/internal/eval"
 	"pyquery/internal/plan"
 	"pyquery/internal/query"
-	"pyquery/internal/relation"
 )
 
 // ErrInconsistent is returned when the comparison constraints have no
@@ -18,7 +16,10 @@ var ErrInconsistent = errors.New("order: comparison constraints are inconsistent
 // preprocessing: variables forced equal are merged (smallest id wins),
 // variables forced equal to a constant are substituted, and comparisons
 // that become ground-true are dropped. The inequality (≠) atoms, head, and
-// relational atoms are rewritten consistently.
+// relational atoms are rewritten consistently. The comparisons "engine" is
+// exactly this rewrite in front of the generic backtracker (eval.Compile on
+// Q′; ErrInconsistent means the empty answer) — per Theorem 3 no
+// fixed-parameter algorithm is expected, even for acyclic queries.
 func Collapse(q *query.CQ) (*query.CQ, error) {
 	if len(q.Cmps) == 0 {
 		return q.Clone(), nil
@@ -115,44 +116,4 @@ func acyclicAtoms(q *query.CQ) bool {
 	h, _ := plan.AtomHypergraph(q)
 	_, ok := h.JoinForest()
 	return ok
-}
-
-// Evaluate evaluates a conjunctive query with comparisons: collapse first
-// (ErrInconsistent yields the empty answer), then run the generic
-// backtracking evaluator — per Theorem 3 no fixed-parameter algorithm is
-// expected, even for acyclic queries. The collapsed query inherits the
-// cost-based join order of internal/plan through the generic evaluator's
-// options.
-func Evaluate(q *query.CQ, db *query.DB) (*relation.Relation, error) {
-	return EvaluateOpts(q, db, eval.Options{})
-}
-
-// EvaluateOpts is Evaluate with explicit options for the generic evaluator
-// that runs after the collapse (join-order heuristic, parallelism).
-func EvaluateOpts(q *query.CQ, db *query.DB, opts eval.Options) (*relation.Relation, error) {
-	qc, err := Collapse(q)
-	if errors.Is(err, ErrInconsistent) {
-		return query.NewTable(len(q.Head)), nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	return eval.ConjunctiveOpts(qc, db, opts)
-}
-
-// EvaluateBool decides Q(d) ≠ ∅ for a query with comparisons.
-func EvaluateBool(q *query.CQ, db *query.DB) (bool, error) {
-	return EvaluateBoolOpts(q, db, eval.Options{})
-}
-
-// EvaluateBoolOpts is EvaluateBool with explicit generic-evaluator options.
-func EvaluateBoolOpts(q *query.CQ, db *query.DB, opts eval.Options) (bool, error) {
-	qc, err := Collapse(q)
-	if errors.Is(err, ErrInconsistent) {
-		return false, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	return eval.ConjunctiveBoolOpts(qc, db, opts)
 }

@@ -317,7 +317,7 @@ func TestParsedQueryRunsThroughEngines(t *testing.T) {
 	db := query.NewDB()
 	db.Set("EP", query.Table(2,
 		[]relation.Value{1, 100}, []relation.Value{1, 101}, []relation.Value{2, 100}))
-	res, err := eval.Conjunctive(q, db)
+	res, err := eval.ConjunctiveBrute(q, db)
 	if err != nil {
 		t.Fatal(err)
 	}

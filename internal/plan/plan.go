@@ -9,8 +9,8 @@
 // comparison engine inherits Build through its generic fallback, and
 // Datalog re-plans each rule body per semi-naive round because the
 // backtracker replans against the working database's current IDB sizes on
-// every firing. The legacy per-engine heuristics survive only behind the
-// explicit ablation flags (eval.Options.LegacyGreedy, NoReorder).
+// every firing. The written atom order survives only behind the explicit
+// ablation flag eval.Options.NoReorder.
 package plan
 
 import (

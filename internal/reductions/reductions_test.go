@@ -1,6 +1,7 @@
 package reductions
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -8,17 +9,49 @@ import (
 	"pyquery/internal/boolcirc"
 	"pyquery/internal/core"
 	"pyquery/internal/eval"
+	"pyquery/internal/governor"
 	"pyquery/internal/graph"
 	"pyquery/internal/order"
 	"pyquery/internal/query"
 	"pyquery/internal/relation"
 )
 
+// program is the compiled form every engine exports; run and runBool wrap an
+// engine's Compile call into compile-plus-one-ungoverned-execution.
+type program interface {
+	Exec(context.Context, []relation.Value, *governor.Meter) (*relation.Relation, error)
+	ExecBool(context.Context, []relation.Value, *governor.Meter) (bool, error)
+}
+
+func run(p program, err error) (*relation.Relation, error) {
+	if err != nil {
+		return nil, err
+	}
+	return p.Exec(context.Background(), nil, nil)
+}
+
+func runBool(p program, err error) (bool, error) {
+	if err != nil {
+		return false, err
+	}
+	return p.ExecBool(context.Background(), nil, nil)
+}
+
+// collapsed is the comparisons engine: the order.Collapse rewrite in front of
+// the compiled backtracker (the reductions only build consistent systems).
+func collapsed(q *query.CQ, db *query.DB) (program, error) {
+	qc, err := order.Collapse(q)
+	if err != nil {
+		return nil, err
+	}
+	return eval.Compile(qc, db, eval.Options{}, nil)
+}
+
 // --- Theorem 1(1) lower bound: clique → conjunctive query -----------------
 
 func TestCliqueToCQKnownGraphs(t *testing.T) {
 	q, db := CliqueToCQ(graph.Complete(5), 4)
-	ok, err := eval.ConjunctiveBool(q, db)
+	ok, err := runBool(eval.Compile(q, db, eval.Options{}, nil))
 	if err != nil || !ok {
 		t.Fatalf("K5 has a 4-clique: %v %v", ok, err)
 	}
@@ -26,7 +59,7 @@ func TestCliqueToCQKnownGraphs(t *testing.T) {
 		t.Fatalf("query shape: v=%d atoms=%d", q.NumVars(), len(q.Atoms))
 	}
 	q, db = CliqueToCQ(graph.Path(6), 3)
-	ok, err = eval.ConjunctiveBool(q, db)
+	ok, err = runBool(eval.Compile(q, db, eval.Options{}, nil))
 	if err != nil || ok {
 		t.Fatalf("path has no triangle: %v %v", ok, err)
 	}
@@ -38,7 +71,7 @@ func TestQuickCliqueToCQ(t *testing.T) {
 		g := graph.Random(5+rnd.Intn(8), 0.4+0.3*rnd.Float64(), seed)
 		k := 2 + rnd.Intn(3)
 		q, db := CliqueToCQ(g, k)
-		got, err := eval.ConjunctiveBool(q, db)
+		got, err := runBool(eval.Compile(q, db, eval.Options{}, nil))
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -107,7 +140,7 @@ func TestQuickCQToWeighted2CNF(t *testing.T) {
 	f := func(seed int64) bool {
 		rnd := rand.New(rand.NewSource(seed))
 		q, db := randBoolCQ(rnd)
-		want, err := eval.ConjunctiveBool(q, db)
+		want, err := runBool(eval.Compile(q, db, eval.Options{}, nil))
 		if err != nil {
 			return true
 		}
@@ -174,7 +207,7 @@ func TestBoundedVarsEquivalence(t *testing.T) {
 		if vars := q.BodyVars(); len(vars) > 0 && rnd.Intn(2) == 0 {
 			q.Head = []query.Term{query.V(vars[rnd.Intn(len(vars))])}
 		}
-		want, err := eval.Conjunctive(q, db)
+		want, err := run(eval.Compile(q, db, eval.Options{}, nil))
 		if err != nil {
 			return true
 		}
@@ -187,7 +220,7 @@ func TestBoundedVarsEquivalence(t *testing.T) {
 			t.Logf("seed %d: %d atoms exceeds 2^v", seed, len(q2.Atoms))
 			return false
 		}
-		got, err := eval.Conjunctive(q2, db2)
+		got, err := run(eval.Compile(q2, db2, eval.Options{}, nil))
 		if err != nil {
 			t.Logf("seed %d: transformed query error %v", seed, err)
 			return false
@@ -275,7 +308,7 @@ func TestQuickPositiveToUCQ(t *testing.T) {
 		}
 		got := false
 		for _, cq := range cqs {
-			ok, err := eval.ConjunctiveBool(cq, db)
+			ok, err := runBool(eval.Compile(cq, db, eval.Options{}, nil))
 			if err != nil {
 				t.Logf("seed %d: CQ error %v on %v", seed, err, cq)
 				return false
@@ -437,12 +470,12 @@ func TestCliqueToComparisonsKnown(t *testing.T) {
 	if !order.IsAcyclicWithComparisons(q) {
 		t.Fatal("Theorem 3 query must be acyclic with comparisons")
 	}
-	ok, err := order.EvaluateBool(q, db)
+	ok, err := runBool(collapsed(q, db))
 	if err != nil || !ok {
 		t.Fatalf("K4 has a triangle: %v %v", ok, err)
 	}
 	q2, db2 := CliqueToComparisons(graph.Path(5), 3)
-	ok, err = order.EvaluateBool(q2, db2)
+	ok, err = runBool(collapsed(q2, db2))
 	if err != nil || ok {
 		t.Fatalf("path has no triangle: %v %v", ok, err)
 	}
@@ -454,7 +487,7 @@ func TestQuickCliqueToComparisons(t *testing.T) {
 		g := graph.Random(4+rnd.Intn(4), 0.5+0.3*rnd.Float64(), seed)
 		k := 2 + rnd.Intn(2)
 		q, db := CliqueToComparisons(g, k)
-		got, err := order.EvaluateBool(q, db)
+		got, err := runBool(collapsed(q, db))
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -476,7 +509,7 @@ func TestQuickCliqueToComparisons(t *testing.T) {
 func TestHamPathToIneqCQ(t *testing.T) {
 	// Path graph: Hamiltonian. Star: not.
 	q, db := HamPathToIneqCQ(graph.Path(5))
-	ok, err := core.EvaluateBool(q, db)
+	ok, err := runBool(core.Compile(q, db, core.Options{}))
 	if err != nil || !ok {
 		t.Fatalf("path graph is Hamiltonian: %v %v", ok, err)
 	}
@@ -485,7 +518,7 @@ func TestHamPathToIneqCQ(t *testing.T) {
 	star.AddEdge(0, 2)
 	star.AddEdge(0, 3)
 	q, db = HamPathToIneqCQ(star)
-	ok, err = core.EvaluateBool(q, db)
+	ok, err = runBool(core.Compile(q, db, core.Options{}))
 	if err != nil || ok {
 		t.Fatalf("star is not Hamiltonian: %v %v", ok, err)
 	}
@@ -497,7 +530,7 @@ func TestQuickHamPath(t *testing.T) {
 		n := 2 + rnd.Intn(5)
 		g := graph.Random(n, 0.3+0.5*rnd.Float64(), seed)
 		q, db := HamPathToIneqCQ(g)
-		got, err := core.EvaluateBool(q, db)
+		got, err := runBool(core.Compile(q, db, core.Options{}))
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false

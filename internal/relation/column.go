@@ -13,22 +13,6 @@ package relation
 // operate on Value. ColNarrow/ColWide expose the raw backing for read-only
 // zero-copy consumers (stats scans, trie builds).
 
-// narrowEnabled gates the narrow encoding. When false (the E12 row-layout
-// ablation), every new column starts wide and the substrate behaves like
-// the pre-columnar 8-byte layout, keeping the old memory profile
-// measurable. Toggling does not affect existing relations.
-var narrowEnabled = true
-
-// SetNarrowCodes enables or disables narrow int32 column codes for
-// relations created afterwards, returning the previous setting. It exists
-// for the benchmark ablation (E12) and is not safe to flip concurrently
-// with relation construction.
-func SetNarrowCodes(on bool) (prev bool) {
-	prev = narrowEnabled
-	narrowEnabled = on
-	return prev
-}
-
 // fits32 reports whether v survives a round trip through int32.
 func fits32(v Value) bool { return Value(int32(v)) == v }
 
@@ -37,14 +21,6 @@ func fits32(v Value) bool { return Value(int32(v)) == v }
 type column struct {
 	nv []int32
 	wv []Value
-}
-
-// newColumn returns an empty column honoring the narrow toggle.
-func newColumn() column {
-	if narrowEnabled {
-		return column{}
-	}
-	return column{wv: make([]Value, 0)}
 }
 
 // at returns the i-th value.

@@ -149,10 +149,7 @@ func New(schema Schema) *Relation {
 		}
 	}
 	r := &Relation{schema: schema.Clone(), width: len(schema)}
-	r.cols = make([]column, r.width)
-	for c := range r.cols {
-		r.cols[c] = newColumn()
-	}
+	r.cols = make([]column, r.width) // zero columns: empty, narrow
 	return r
 }
 

@@ -114,18 +114,24 @@ type Compiled struct {
 	// trivial marks plans with an empty reduced atom or a false ground
 	// comparison: every execution answers empty/false.
 	trivial bool
+	// workers is the frozen parallelism budget: Exec shards the top-level
+	// variable's matched domain across this many workers (≤ 1 = serial).
+	workers int
 }
 
 // Compile freezes the leapfrog plan for q under the route: reduced atoms
 // are sorted into tries under the global order (the prepared layer's one
 // compile-time cost — linear-ish in the input, so it runs unmetered like
 // the atom reductions), participation lists are indexed per depth, and the
-// head projection is compiled to depth slots.
-func Compile(q *query.CQ, rt *Route) (*Compiled, error) {
+// head projection is compiled to depth slots. workers is the resolved
+// parallelism budget (parallel.Workers) frozen into the plan. Compiling a
+// route whose gate declined (Use false) forces the engine — the entry behind
+// qeval -engine wcoj, the equivalence suites, and benchrunner E10.
+func Compile(q *query.CQ, rt *Route, workers int) (*Compiled, error) {
 	if err := eligible(q); err != nil {
 		return nil, err
 	}
-	c := &Compiled{head: q.Head, order: rt.Order}
+	c := &Compiled{head: q.Head, order: rt.Order, workers: workers}
 	for _, cm := range q.Cmps {
 		if !cm.Holds(cm.Left.Const, cm.Right.Const) {
 			c.trivial = true
@@ -320,40 +326,6 @@ func (cu *cursor) rec(d int, emit func() bool) bool {
 	return ok
 }
 
-// enter and finish are the execution-boundary checkpoints, typed through
-// the meter when one is threaded.
-func enter(ctx context.Context, m *governor.Meter) error {
-	if m != nil {
-		return m.Check("start")
-	}
-	return parallel.CtxErr(ctx)
-}
-
-func finish(ctx context.Context, m *governor.Meter) error {
-	if m != nil {
-		return m.Check("finish")
-	}
-	return parallel.CtxErr(ctx)
-}
-
-// stopMeter mirrors the backtracker's single-flag idiom: the meter's stop
-// flag (flipped by every trip) doubles as the per-match poll flag, and a
-// cancelable context flips the same flag.
-func stopMeter(ctx context.Context, m *governor.Meter) (*atomic.Bool, func()) {
-	var f *atomic.Bool
-	if m != nil {
-		f = m.StopFlag()
-	}
-	if ctx != nil && ctx.Done() != nil {
-		if f == nil {
-			f = new(atomic.Bool)
-		}
-		detach := context.AfterFunc(ctx, func() { f.Store(true) })
-		return f, func() { detach() }
-	}
-	return f, func() {}
-}
-
 // emitBatch is how many emitted rows a worker accumulates locally before
 // charging the meter (the backtracker's batching constant).
 const emitBatch = 64
@@ -461,25 +433,27 @@ func (c *Compiled) topValues() []relation.Value {
 }
 
 // Exec runs the frozen leapfrog plan and returns the deduplicated answer
-// relation over the positional head schema. workers shards the top-level
-// variable's matched domain (per-worker accumulators, serial dedup merge);
-// m, when non-nil, is the execution's resource meter.
-func (c *Compiled) Exec(ctx context.Context, workers int, m *governor.Meter) (*relation.Relation, error) {
+// relation over the positional head schema. The plan takes no bound values.
+// The frozen worker budget shards the top-level variable's matched domain
+// (per-worker accumulators, serial dedup merge); m, when non-nil, is the
+// execution's resource meter.
+func (c *Compiled) Exec(ctx context.Context, _ []relation.Value, m *governor.Meter) (*relation.Relation, error) {
+	workers := c.workers
 	out := query.NewTable(len(c.head))
-	if err := enter(ctx, m); err != nil {
+	if err := governor.Check(ctx, m, "start"); err != nil {
 		return nil, err
 	}
 	if c.trivial {
 		return out, nil
 	}
-	stop, release := stopMeter(ctx, m)
+	stop, release := governor.Stop(ctx, m)
 	defer release()
 	if workers <= 1 || len(c.order) == 0 {
 		cu := c.newCursor(stop, m)
 		emit, flush := c.collector(cu, out, relation.NewTupleSet(len(c.head)), m)
 		cu.rec(0, emit)
 		flush()
-		if err := finish(ctx, m); err != nil {
+		if err := governor.Check(ctx, m, "finish"); err != nil {
 			return nil, err
 		}
 		return out, nil
@@ -489,7 +463,7 @@ func (c *Compiled) Exec(ctx context.Context, workers int, m *governor.Meter) (*r
 		workers = len(top)
 	}
 	if len(top) == 0 {
-		if err := finish(ctx, m); err != nil {
+		if err := governor.Check(ctx, m, "finish"); err != nil {
 			return nil, err
 		}
 		return out, nil
@@ -523,7 +497,7 @@ func (c *Compiled) Exec(ctx context.Context, workers int, m *governor.Meter) (*r
 		}
 		outs[w] = local
 	})
-	if err := finish(ctx, m); err != nil {
+	if err := governor.Check(ctx, m, "finish"); err != nil {
 		return nil, err
 	}
 	seen := relation.NewTupleSet(len(c.head))
@@ -543,14 +517,14 @@ func (c *Compiled) Exec(ctx context.Context, workers int, m *governor.Meter) (*r
 // ExecBool decides emptiness with the frozen plan, stopping at the first
 // witness. The decision search is serial (the first top-level match almost
 // always decides) and materializes nothing, so no rows are charged.
-func (c *Compiled) ExecBool(ctx context.Context, m *governor.Meter) (bool, error) {
-	if err := enter(ctx, m); err != nil {
+func (c *Compiled) ExecBool(ctx context.Context, _ []relation.Value, m *governor.Meter) (bool, error) {
+	if err := governor.Check(ctx, m, "start"); err != nil {
 		return false, err
 	}
 	if c.trivial {
 		return false, nil
 	}
-	stop, release := stopMeter(ctx, m)
+	stop, release := governor.Stop(ctx, m)
 	defer release()
 	cu := c.newCursor(stop, m)
 	found := false
@@ -559,25 +533,9 @@ func (c *Compiled) ExecBool(ctx context.Context, m *governor.Meter) (bool, error
 		return false
 	})
 	if !found {
-		if err := finish(ctx, m); err != nil {
+		if err := governor.Check(ctx, m, "finish"); err != nil {
 			return false, err
 		}
 	}
 	return found, nil
-}
-
-// Evaluate forces the worst-case-optimal engine on q regardless of the
-// cost gate — the engine-direct entry behind qeval -engine wcoj, the
-// equivalence suites, and benchrunner E10. Ungoverned; workers as in
-// Options.Parallelism (0 = GOMAXPROCS, 1 = serial).
-func Evaluate(q *query.CQ, db *query.DB, workers int) (*relation.Relation, error) {
-	rt, err := PlanFor(q, db)
-	if err != nil {
-		return nil, err
-	}
-	c, err := Compile(q, rt)
-	if err != nil {
-		return nil, err
-	}
-	return c.Exec(context.Background(), parallel.Workers(workers), nil)
 }

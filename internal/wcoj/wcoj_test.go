@@ -9,10 +9,35 @@ import (
 
 	"pyquery/internal/eval"
 	"pyquery/internal/governor"
+	"pyquery/internal/parallel"
 	"pyquery/internal/query"
 	"pyquery/internal/relation"
 	"pyquery/internal/workload"
 )
+
+// run forces the engine past its cost gate: PlanFor, Compile with the worker
+// budget par (0 = GOMAXPROCS), then one ungoverned execution.
+func run(q *query.CQ, db *query.DB, par int) (*relation.Relation, error) {
+	rt, err := PlanFor(q, db)
+	if err != nil {
+		return nil, err
+	}
+	c, err := Compile(q, rt, parallel.Workers(par))
+	if err != nil {
+		return nil, err
+	}
+	return c.Exec(context.Background(), nil, nil)
+}
+
+// reference is the suites' ground truth: the compiled backtracker in the
+// written atom order (no shared planning code).
+func reference(q *query.CQ, db *query.DB) (*relation.Relation, error) {
+	c, err := eval.Compile(q, db, eval.Options{Parallelism: 1, NoReorder: true}, nil)
+	if err != nil {
+		return nil, err
+	}
+	return c.Exec(context.Background(), nil, nil)
+}
 
 // randGraphDB builds {E(·,·)} with the given density.
 func randGraphDB(rnd *rand.Rand, rows, domain int) *query.DB {
@@ -64,12 +89,12 @@ func TestMatchesBacktracker(t *testing.T) {
 		db := randGraphDB(rnd, 20+rnd.Intn(60), 5+rnd.Intn(6))
 		q := randPureCyclicCQ(rnd)
 		tag := fmt.Sprintf("seed=%d q=%v", seed, q)
-		want, err := eval.ConjunctiveOpts(q, db, eval.Options{Parallelism: 1, NoReorder: true})
+		want, err := reference(q, db)
 		if err != nil {
 			t.Fatalf("%s baseline: %v", tag, err)
 		}
 		for _, par := range []int{1, 3} {
-			got, err := Evaluate(q, db, par)
+			got, err := run(q, db, par)
 			if err != nil {
 				t.Fatalf("%s wcoj par=%d: %v", tag, par, err)
 			}
@@ -108,12 +133,12 @@ func TestMatchesBacktrackerMixedArity(t *testing.T) {
 		}
 		db.Set("S", s.Dedup())
 		db.Set("T", tt.Dedup())
-		want, err := eval.ConjunctiveOpts(q, db, eval.Options{Parallelism: 1, NoReorder: true})
+		want, err := reference(q, db)
 		if err != nil {
 			t.Fatalf("seed=%d baseline: %v", seed, err)
 		}
 		for _, par := range []int{1, 4} {
-			got, err := Evaluate(q, db, par)
+			got, err := run(q, db, par)
 			if err != nil {
 				t.Fatalf("seed=%d wcoj par=%d: %v", seed, par, err)
 			}
@@ -189,7 +214,7 @@ func TestTrivialPlans(t *testing.T) {
 	db := query.NewDB()
 	db.Set("E", query.NewTable(2)) // empty
 	tri := workload.TriangleQuery()
-	res, err := Evaluate(tri, db, 1)
+	res, err := run(tri, db, 1)
 	if err != nil || res.Len() != 0 {
 		t.Fatalf("empty relation: want empty answer, got %v err %v", res, err)
 	}
@@ -197,14 +222,14 @@ func TestTrivialPlans(t *testing.T) {
 	db2 := workload.HubGraphDB(5, 3)
 	qf := workload.TriangleQuery()
 	qf.Cmps = []query.Cmp{query.Lt(query.C(3), query.C(1))} // ground false
-	res, err = Evaluate(qf, db2, 1)
+	res, err = run(qf, db2, 1)
 	if err != nil || res.Len() != 0 {
 		t.Fatalf("ground-false comparison: want empty answer, got %v err %v", res, err)
 	}
 
 	qt := workload.TriangleQuery()
 	qt.Cmps = []query.Cmp{query.Lt(query.C(1), query.C(3))} // ground true
-	res, err = Evaluate(qt, db2, 1)
+	res, err = run(qt, db2, 1)
 	if err != nil || res.Len() == 0 {
 		t.Fatalf("ground-true comparison: want nonempty answer, got %v err %v", res, err)
 	}
@@ -225,11 +250,11 @@ func TestBoolAndDecision(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := Compile(tri, rt)
+		c, err := Compile(tri, rt, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := c.ExecBool(context.Background(), nil)
+		got, err := c.ExecBool(context.Background(), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,23 +274,27 @@ func TestGovernorTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Compile(tri, rt)
+	c, err := Compile(tri, rt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	m := governor.New(context.Background(), "wcoj", 3, 0)
-	if _, err := c.Exec(context.Background(), 1, m); !errors.Is(err, governor.ErrRowLimit) {
+	if _, err := c.Exec(context.Background(), nil, m); !errors.Is(err, governor.ErrRowLimit) {
 		t.Fatalf("row limit: got %v", err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	m = governor.New(ctx, "wcoj", 0, 0)
-	if _, err := c.Exec(ctx, 1, m); !errors.Is(err, governor.ErrCanceled) {
+	if _, err := c.Exec(ctx, nil, m); !errors.Is(err, governor.ErrCanceled) {
 		t.Fatalf("canceled ctx: got %v", err)
 	}
-	if _, err := c.Exec(ctx, 4, governor.New(ctx, "wcoj", 0, 0)); !errors.Is(err, governor.ErrCanceled) {
+	c4, err := Compile(tri, rt, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c4.Exec(ctx, nil, governor.New(ctx, "wcoj", 0, 0)); !errors.Is(err, governor.ErrCanceled) {
 		t.Fatalf("canceled ctx (parallel): got %v", err)
 	}
 }
@@ -275,7 +304,7 @@ func TestGovernorTrips(t *testing.T) {
 func TestParallelDeterminism(t *testing.T) {
 	db := workload.HubGraphDB(80, 6)
 	for _, q := range []*query.CQ{workload.TriangleQuery(), workload.CliqueQuery(4)} {
-		want, err := Evaluate(q, db, 1)
+		want, err := run(q, db, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,7 +312,7 @@ func TestParallelDeterminism(t *testing.T) {
 			t.Fatalf("workload should have answers for %v", q)
 		}
 		for _, par := range []int{2, 3, 8} {
-			got, err := Evaluate(q, db, par)
+			got, err := run(q, db, par)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -403,51 +403,3 @@ func LayeredPathDB(layers, width, outDeg int, seed int64) *query.DB {
 	db.Set("E", e)
 	return db
 }
-
-// PlannerTrap builds the A5 ablation instance — the legacy join-order
-// heuristic's failure mode. Start(s) holds the group keys; FanA(s,a) and
-// FanB(s,b) each multiply a group by the fan-out; Sel(a,b) holds three
-// valid (a,b) pairs per group plus enough non-joining decoy pairs to be
-// larger than FanB. After (s,a) bind, FanB and Sel both have one unbound
-// variable, so the fewest-unbound/size tie-break picks the smaller FanB and
-// enumerates groups·fan² partial assignments, while the distinct-count
-// selectivity model sees Sel keep the intermediate flat and schedules it
-// first. The query is G(s) ← Start(s), FanA(s,a), FanB(s,b), Sel(a,b);
-// deterministic, no seed needed.
-func PlannerTrap(groups, fan int) (*query.DB, *query.CQ) {
-	db := query.NewDB()
-	start := query.NewTable(1)
-	fanA := query.NewTable(2)
-	fanB := query.NewTable(2)
-	sel := query.NewTable(2)
-	aVal := func(s, i int) relation.Value { return relation.Value(s*fan + i) }
-	bVal := func(s, i int) relation.Value { return relation.Value(1_000_000 + s*fan + i) }
-	for s := 0; s < groups; s++ {
-		start.Append(relation.Value(s))
-		for i := 0; i < fan; i++ {
-			fanA.Append(relation.Value(s), aVal(s, i))
-			fanB.Append(relation.Value(s), bVal(s, i))
-		}
-		for i := 0; i < 3 && i < fan; i++ {
-			sel.Append(aVal(s, i), bVal(s, i))
-		}
-	}
-	for d := 0; d < groups*fan+fan; d++ {
-		sel.Append(relation.Value(10_000_000+d), relation.Value(20_000_000+d))
-	}
-	db.Set("Start", start)
-	db.Set("FanA", fanA)
-	db.Set("FanB", fanB)
-	db.Set("Sel", sel)
-	q := &query.CQ{
-		Head: []query.Term{query.V(0)},
-		Atoms: []query.Atom{
-			query.NewAtom("Start", query.V(0)),
-			query.NewAtom("FanA", query.V(0), query.V(1)),
-			query.NewAtom("FanB", query.V(0), query.V(2)),
-			query.NewAtom("Sel", query.V(1), query.V(2)),
-		},
-		VarNames: []string{"s", "a", "b"},
-	}
-	return db, q
-}

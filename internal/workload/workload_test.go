@@ -1,15 +1,38 @@
 package workload
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"pyquery/internal/core"
 	"pyquery/internal/decomp"
 	"pyquery/internal/eval"
+	"pyquery/internal/governor"
 	"pyquery/internal/relation"
 	"pyquery/internal/yannakakis"
 )
+
+// program is the compiled form every engine exports; run and runBool wrap an
+// engine's Compile call into compile-plus-one-ungoverned-execution.
+type program interface {
+	Exec(context.Context, []relation.Value, *governor.Meter) (*relation.Relation, error)
+	ExecBool(context.Context, []relation.Value, *governor.Meter) (bool, error)
+}
+
+func run(p program, err error) (*relation.Relation, error) {
+	if err != nil {
+		return nil, err
+	}
+	return p.Exec(context.Background(), nil, nil)
+}
+
+func runBool(p program, err error) (bool, error) {
+	if err != nil {
+		return false, err
+	}
+	return p.ExecBool(context.Background(), nil, nil)
+}
 
 func TestOrgChartShape(t *testing.T) {
 	db := OrgChart(50, 10, 3, 1)
@@ -24,11 +47,11 @@ func TestOrgChartShape(t *testing.T) {
 	if !core.IsAcyclicWithIneqs(q) {
 		t.Fatal("org-chart query must be acyclic with inequalities")
 	}
-	res, err := core.Evaluate(q, db)
+	res, err := run(core.Compile(q, db, core.Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := eval.Conjunctive(q, db)
+	want, err := run(eval.Compile(q, db, eval.Options{}, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,11 +71,11 @@ func TestRegistrarShape(t *testing.T) {
 	if err := q.Validate(db); err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Evaluate(q, db)
+	res, err := run(core.Compile(q, db, core.Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := eval.Conjunctive(q, db)
+	want, err := run(eval.Compile(q, db, eval.Options{}, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +91,7 @@ func TestPathQueries(t *testing.T) {
 		if !yannakakis.IsAcyclic(q) {
 			t.Fatalf("path query k=%d must be acyclic", k)
 		}
-		ok, err := yannakakis.EvaluateBool(q, db)
+		ok, err := runBool(yannakakis.Compile(q, db, yannakakis.Options{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +101,7 @@ func TestPathQueries(t *testing.T) {
 	}
 	// Longer than the layer count: no path.
 	q := PathQuery(7)
-	ok, err := yannakakis.EvaluateBool(q, db)
+	ok, err := runBool(yannakakis.Compile(q, db, yannakakis.Options{}))
 	if err != nil || ok {
 		t.Fatalf("7-path in 6 layers: %v %v", ok, err)
 	}
@@ -110,11 +133,11 @@ func TestStarQuery(t *testing.T) {
 		t.Fatalf("star shape: %v", q)
 	}
 	db := GraphDB(20, 60, 4)
-	got, err := core.Evaluate(q, db)
+	got, err := run(core.Compile(q, db, core.Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := eval.Conjunctive(q, db)
+	want, err := run(eval.Compile(q, db, eval.Options{}, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,11 +181,15 @@ func TestCyclicLowWidthShapes(t *testing.T) {
 		if !decomp.Decomposable(q) {
 			t.Fatalf("spec %d: not decomposable: %v", i, q)
 		}
-		want, err := eval.ConjunctiveOpts(q, db, eval.Options{Parallelism: 1, NoReorder: true})
+		want, err := run(eval.Compile(q, db, eval.Options{Parallelism: 1, NoReorder: true}, nil))
 		if err != nil {
 			t.Fatalf("spec %d backtracker: %v", i, err)
 		}
-		got, err := decomp.EvaluateOpts(q, db, decomp.Options{Parallelism: 1})
+		rt, err := decomp.PlanFor(q, db)
+		if err != nil {
+			t.Fatalf("spec %d decomp plan: %v", i, err)
+		}
+		got, err := run(decomp.Compile(q, rt, 1, nil))
 		if err != nil {
 			t.Fatalf("spec %d decomp: %v", i, err)
 		}

@@ -55,56 +55,98 @@ func IsAcyclic(q *query.CQ) bool {
 	return ok
 }
 
-// Evaluate computes Q(d) for an acyclic pure conjunctive query (no ≠, no
-// comparisons — those belong to the Theorem 2 engine). The result uses the
-// positional schema 0…len(head)−1.
-func Evaluate(q *query.CQ, db *query.DB) (*relation.Relation, error) {
-	return EvaluateOpts(q, db, Options{})
+// Program is a compiled acyclic statement: a frozen Tree template — the
+// query's reduced atoms on their join tree (Compile), or materialized bags
+// on their bag tree (internal/decomp hands them to NewProgram) — plus the
+// head layout and the worker budget frozen at compile. It is read-only and
+// safe for concurrent executions: each execution forks the template, runs
+// the full reducer and the join-project pass (Exec) or the bottom-up
+// semijoin pass alone (ExecBool, the O(n·q) decision procedure), so the one
+// pass sequence serves the whole acyclic family.
+type Program struct {
+	q *query.CQ
+	// tree is nil when some input reduced to the empty relation: every
+	// execution answers empty until the database changes.
+	tree          *Tree
+	workers       int
+	noFullReducer bool
+	// frozenRows/frozenBytes are what a governed compile step already
+	// materialized into the template (decomposition bags). Every governed
+	// execution pre-charges them, so its budget accounts for the frozen
+	// state it joins against.
+	frozenRows, frozenBytes int64
 }
 
-// EvaluateOpts is Evaluate with explicit options.
-func EvaluateOpts(q *query.CQ, db *query.DB, opts Options) (*relation.Relation, error) {
+// Compile validates, reduces atoms, and freezes the planned join tree of an
+// acyclic pure conjunctive query (no ≠, no comparisons — those belong to
+// the Theorem 2 engine), so the reduction scans and the tree construction
+// are paid once.
+func Compile(q *query.CQ, db *query.DB, opts Options) (*Program, error) {
 	t, err := prepare(q, db)
 	if err != nil {
 		return nil, err
 	}
-	if t == nil { // trivially empty
-		return query.NewTable(len(q.Head)), nil
+	pr := NewProgram(q, t, parallel.Workers(opts.Parallelism), 0, 0)
+	pr.noFullReducer = opts.NoFullReducer
+	return pr, nil
+}
+
+// NewProgram wraps a caller-built tree (nil = trivially empty) as a
+// program over q's head; frozenRows/frozenBytes are charged to the meter of
+// every governed execution.
+func NewProgram(q *query.CQ, t *Tree, workers int, frozenRows, frozenBytes int64) *Program {
+	return &Program{q: q, tree: t, workers: workers, frozenRows: frozenRows, frozenBytes: frozenBytes}
+}
+
+// fork starts one execution: a private view of the template under the
+// execution's context and meter. A trip on the frozen-state charge surfaces
+// at the first pass checkpoint.
+func (pr *Program) fork(ctx context.Context, m *governor.Meter) *Tree {
+	if m != nil && (pr.frozenRows > 0 || pr.frozenBytes > 0) {
+		m.Charge(pr.frozenRows, pr.frozenBytes, "frozen-bags")
 	}
-	t.Workers = parallel.Workers(opts.Parallelism)
-	if !opts.NoFullReducer {
-		if empty := t.FullReduce(); empty {
-			return query.NewTable(len(q.Head)), nil
+	t := pr.tree.Fork()
+	t.Workers, t.Ctx, t.Meter = pr.workers, ctx, m
+	return t
+}
+
+// Exec computes Q(d) over the positional schema 0…len(head)−1. The program
+// takes no bound values (parameterized templates run on the backtracker);
+// ctx and m stop the passes between semijoin/join steps.
+func (pr *Program) Exec(ctx context.Context, _ []relation.Value, m *governor.Meter) (*relation.Relation, error) {
+	if pr.tree == nil {
+		return query.NewTable(len(pr.q.Head)), nil
+	}
+	t := pr.fork(ctx, m)
+	if !pr.noFullReducer && t.FullReduce() {
+		if err := governor.Check(ctx, m, "finish"); err != nil {
+			return nil, err
 		}
+		return query.NewTable(len(pr.q.Head)), nil
 	}
 	pstar := t.JoinProject()
-	return HeadTuples(q, pstar), nil
-}
-
-// EvaluateBool decides Q(d) ≠ ∅ for an acyclic pure conjunctive query using
-// only the bottom-up semijoin pass — the O(n·q) decision procedure.
-func EvaluateBool(q *query.CQ, db *query.DB) (bool, error) {
-	return EvaluateBoolOpts(q, db, Options{})
-}
-
-// EvaluateBoolOpts is EvaluateBool with explicit options.
-func EvaluateBoolOpts(q *query.CQ, db *query.DB, opts Options) (bool, error) {
-	t, err := prepare(q, db)
-	if err != nil {
-		return false, err
+	if err := governor.Check(ctx, m, "finish"); err != nil {
+		return nil, err
 	}
-	if t == nil {
+	return HeadTuples(pr.q, pstar), nil
+}
+
+// ExecBool decides Q(d) ≠ ∅ with the bottom-up semijoin pass only.
+func (pr *Program) ExecBool(ctx context.Context, _ []relation.Value, m *governor.Meter) (bool, error) {
+	if pr.tree == nil {
 		return false, nil
 	}
-	t.Workers = parallel.Workers(opts.Parallelism)
-	return !t.BottomUpSemijoin(), nil
+	empty := pr.fork(ctx, m).BottomUpSemijoin()
+	if err := governor.Check(ctx, m, "finish"); err != nil {
+		return false, err
+	}
+	return !empty, nil
 }
 
 // Tree is the shared pass state: relations arranged on a single-rooted join
 // tree. The acyclic engine builds one from the query's reduced atoms; the
 // decomposition engine (internal/decomp) builds one from materialized bag
-// relations. The caller owns Rels for the duration of a run — the semijoin
-// passes filter them in place.
+// relations. A Program freezes one as a template and forks it per execution.
 type Tree struct {
 	// Forest is the join tree (link a multi-component forest with
 	// Forest.JoinTree first; the join pass starts at Roots[0]).
@@ -120,7 +162,7 @@ type Tree struct {
 	Workers int
 	// Ctx, when cancelable, makes the passes bail out between semijoin/join
 	// steps; a caller that set it must treat the result as garbage once
-	// Ctx.Err() is non-nil (the facade's prepared layer does).
+	// Ctx.Err() is non-nil (Program does).
 	Ctx context.Context
 	// Meter, when non-nil, is the execution's resource governor: every pass
 	// boundary that polls Ctx becomes a typed checkpoint, and each freshly
@@ -135,23 +177,6 @@ type Tree struct {
 	// Fork of a frozen prepared template shares the template's relations
 	// safely by construction.
 	sels [][]int32
-}
-
-// Compile validates, reduces atoms, and freezes the planned join tree for
-// repeated execution: the prepared layer forks the returned template per
-// execution, so the reduction scans and the tree construction are paid
-// once. trivial is true when some atom reduced to the empty relation (the
-// answer is empty for every execution until the database changes) — the
-// tree is nil in that case.
-func Compile(q *query.CQ, db *query.DB) (t *Tree, trivial bool, err error) {
-	t, err = prepare(q, db)
-	if err != nil {
-		return nil, false, err
-	}
-	if t == nil {
-		return nil, true, nil
-	}
-	return t, false, nil
 }
 
 // Fork returns an execution view of a frozen template: the tree shape and
@@ -174,10 +199,7 @@ func (t *Tree) canceled() bool { return t.Ctx != nil && t.Ctx.Err() != nil }
 // poll otherwise. True means abandon the pass; the caller reads the typed
 // error from the meter (or the context) afterwards.
 func (t *Tree) stopped(step string) bool {
-	if t.Meter != nil {
-		return t.Meter.Check(step) != nil
-	}
-	return t.canceled()
+	return governor.Check(t.Ctx, t.Meter, step) != nil
 }
 
 // tripped is the cheap worker-side poll (one atomic load, no checkpoint
@@ -236,11 +258,22 @@ func (t *Tree) cur(j int) *relation.Relation {
 // (nil, nil) when some atom reduces to the empty relation (the answer is
 // trivially empty) and an error for cyclic or malformed queries.
 func prepare(q *query.CQ, db *query.DB) (*Tree, error) {
-	if len(q.Ineqs) > 0 || len(q.Cmps) > 0 {
-		return nil, fmt.Errorf("yannakakis: query has ≠/comparison atoms; use the core engine")
+	if len(q.Ineqs) > 0 {
+		return nil, fmt.Errorf("yannakakis: query has ≠ atoms; use the core engine")
 	}
 	if err := q.Validate(db); err != nil {
 		return nil, err
+	}
+	// Ground comparisons (user-written constants, or markers from head
+	// substitution) are decided here; a variable comparison is Theorem 3
+	// territory.
+	for _, c := range q.Cmps {
+		if c.Left.IsVar || c.Right.IsVar {
+			return nil, fmt.Errorf("yannakakis: query has variable comparisons; use the backtracker")
+		}
+		if !c.Holds(c.Left.Const, c.Right.Const) {
+			return nil, nil
+		}
 	}
 	if len(q.Atoms) == 0 {
 		// No atoms: the head is all constants; treat as single-node tree of

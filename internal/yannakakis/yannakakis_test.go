@@ -13,6 +13,24 @@ import (
 	"pyquery/internal/relation"
 )
 
+// run and runBool reach the engine the only way there is: Compile, then one
+// ungoverned execution.
+func run(q *query.CQ, db *query.DB, opts Options) (*relation.Relation, error) {
+	pr, err := Compile(q, db, opts)
+	if err != nil {
+		return nil, err
+	}
+	return pr.Exec(context.Background(), nil, nil)
+}
+
+func runBool(q *query.CQ, db *query.DB, opts Options) (bool, error) {
+	pr, err := Compile(q, db, opts)
+	if err != nil {
+		return false, err
+	}
+	return pr.ExecBool(context.Background(), nil, nil)
+}
+
 func pathDB() *query.DB {
 	db := query.NewDB()
 	db.Set("E", query.Table(2,
@@ -29,18 +47,18 @@ func TestEvaluatePathQuery(t *testing.T) {
 			query.NewAtom("E", query.V(1), query.V(2)),
 		},
 	}
-	got, err := Evaluate(q, pathDB())
+	got, err := run(q, pathDB(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := eval.Conjunctive(q, pathDB())
+	want, err := eval.ConjunctiveBrute(q, pathDB())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !relation.EqualSet(got, want) {
 		t.Fatalf("yannakakis %v != backtracking %v", got, want)
 	}
-	ok, err := EvaluateBool(q, pathDB())
+	ok, err := runBool(q, pathDB(), Options{})
 	if err != nil || ok != want.Bool() {
 		t.Fatalf("EvaluateBool = %v %v", ok, err)
 	}
@@ -57,10 +75,10 @@ func TestCyclicQueryRejected(t *testing.T) {
 	if IsAcyclic(q) {
 		t.Fatal("triangle query is cyclic")
 	}
-	if _, err := Evaluate(q, pathDB()); !errors.Is(err, ErrCyclic) {
+	if _, err := run(q, pathDB(), Options{}); !errors.Is(err, ErrCyclic) {
 		t.Fatalf("want ErrCyclic, got %v", err)
 	}
-	if _, err := EvaluateBool(q, pathDB()); !errors.Is(err, ErrCyclic) {
+	if _, err := runBool(q, pathDB(), Options{}); !errors.Is(err, ErrCyclic) {
 		t.Fatalf("want ErrCyclic, got %v", err)
 	}
 }
@@ -70,21 +88,21 @@ func TestIneqAtomsRejected(t *testing.T) {
 		Atoms: []query.Atom{query.NewAtom("E", query.V(0), query.V(1))},
 		Ineqs: []query.Ineq{query.NeqVars(0, 1)},
 	}
-	if _, err := Evaluate(q, pathDB()); err == nil {
+	if _, err := run(q, pathDB(), Options{}); err == nil {
 		t.Fatal("≠ atoms must be rejected here (core engine's job)")
 	}
 }
 
 func TestNoAtomsQuery(t *testing.T) {
 	q := &query.CQ{Head: []query.Term{query.C(9), query.C(8)}}
-	got, err := Evaluate(q, pathDB())
+	got, err := run(q, pathDB(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Len() != 1 || got.Row(0)[0] != 9 || got.Row(0)[1] != 8 {
 		t.Fatalf("constant head = %v", got)
 	}
-	ok, err := EvaluateBool(&query.CQ{}, pathDB())
+	ok, err := runBool(&query.CQ{}, pathDB(), Options{})
 	if err != nil || !ok {
 		t.Fatalf("empty boolean query is true: %v %v", ok, err)
 	}
@@ -97,7 +115,7 @@ func TestEmptyAtomShortCircuit(t *testing.T) {
 		Head:  []query.Term{query.V(0)},
 		Atoms: []query.Atom{query.NewAtom("E", query.V(0), query.V(1)), query.NewAtom("Z", query.V(0))},
 	}
-	got, err := Evaluate(q, db)
+	got, err := run(q, db, Options{})
 	if err != nil || got.Len() != 0 {
 		t.Fatalf("empty atom must empty the answer: %v %v", got, err)
 	}
@@ -111,7 +129,7 @@ func TestDisconnectedQueryCrossProduct(t *testing.T) {
 		Head:  []query.Term{query.V(0), query.V(1)},
 		Atoms: []query.Atom{query.NewAtom("A", query.V(0)), query.NewAtom("B", query.V(1))},
 	}
-	got, err := Evaluate(q, db)
+	got, err := run(q, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,12 +146,12 @@ func TestBooleanHeadAndGroundAtoms(t *testing.T) {
 			query.NewAtom("E", query.V(0), query.V(1)),
 		},
 	}
-	got, err := Evaluate(q, db)
+	got, err := run(q, db, Options{})
 	if err != nil || !got.Bool() {
 		t.Fatalf("boolean query with ground atom: %v %v", got, err)
 	}
 	qf := &query.CQ{Atoms: []query.Atom{query.NewAtom("E", query.C(3), query.C(0))}}
-	got, err = Evaluate(qf, db)
+	got, err = run(qf, db, Options{})
 	if err != nil || got.Bool() {
 		t.Fatalf("false ground atom: %v %v", got, err)
 	}
@@ -150,11 +168,11 @@ func TestStarQueryWithRepeatedRelation(t *testing.T) {
 			query.NewAtom("E", query.V(0), query.V(3)),
 		},
 	}
-	got, err := Evaluate(q, db)
+	got, err := run(q, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := eval.Conjunctive(q, db)
+	want, _ := eval.ConjunctiveBrute(q, db)
 	if !relation.EqualSet(got, want) {
 		t.Fatalf("star query: %v vs %v", got, want)
 	}
@@ -233,7 +251,7 @@ func TestQuickAgainstBrute(t *testing.T) {
 		if err != nil {
 			return true
 		}
-		got, err := Evaluate(q, db)
+		got, err := run(q, db, Options{})
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -242,12 +260,12 @@ func TestQuickAgainstBrute(t *testing.T) {
 			t.Logf("seed %d: mismatch on %v:\n got %v\nwant %v", seed, q, got, want)
 			return false
 		}
-		noRed, err := EvaluateOpts(q, db, Options{NoFullReducer: true})
+		noRed, err := run(q, db, Options{NoFullReducer: true})
 		if err != nil || !relation.EqualSet(noRed, want) {
 			t.Logf("seed %d: NoFullReducer mismatch", seed)
 			return false
 		}
-		ok, err := EvaluateBool(q, db)
+		ok, err := runBool(q, db, Options{})
 		if err != nil || ok != want.Bool() {
 			t.Logf("seed %d: bool mismatch (%v vs %v)", seed, ok, want.Bool())
 			return false
@@ -275,11 +293,11 @@ func TestJoinProjectNilBail(t *testing.T) {
 	}
 	compile := func() *Tree {
 		t.Helper()
-		tr, trivial, err := Compile(q, pathDB())
-		if err != nil || trivial {
-			t.Fatalf("Compile: trivial=%v err=%v", trivial, err)
+		pr, err := Compile(q, pathDB(), Options{})
+		if err != nil || pr.tree == nil {
+			t.Fatalf("Compile: program=%+v err=%v", pr, err)
 		}
-		return tr.Fork()
+		return pr.tree.Fork()
 	}
 
 	// Control: an undisturbed pass returns the head-variable relation.

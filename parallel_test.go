@@ -1,6 +1,7 @@
 package pyquery_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"pyquery"
 	"pyquery/internal/datalog"
 	"pyquery/internal/decomp"
+	"pyquery/internal/parallel"
 	"pyquery/internal/relation"
 	"pyquery/internal/wcoj"
 	"pyquery/internal/workload"
@@ -46,6 +48,33 @@ func pathQuery() *pyquery.CQ {
 			pyquery.NewAtom("R2", pyquery.V(2), pyquery.V(3)),
 		},
 	}
+}
+
+// forceDecomp and forceWCOJ drive an engine directly — PlanFor, Compile
+// with the worker budget par, one ungoverned execution — so its cost gate
+// cannot route around it.
+func forceDecomp(q *pyquery.CQ, db *pyquery.DB, par int) (*pyquery.Relation, error) {
+	rt, err := decomp.PlanFor(q, db)
+	if err != nil {
+		return nil, err
+	}
+	prog, err := decomp.Compile(q, rt, parallel.Workers(par), nil)
+	if err != nil {
+		return nil, err
+	}
+	return prog.Exec(context.Background(), nil, nil)
+}
+
+func forceWCOJ(q *pyquery.CQ, db *pyquery.DB, par int) (*pyquery.Relation, error) {
+	rt, err := wcoj.PlanFor(q, db)
+	if err != nil {
+		return nil, err
+	}
+	c, err := wcoj.Compile(q, rt, parallel.Workers(par))
+	if err != nil {
+		return nil, err
+	}
+	return c.Exec(context.Background(), nil, nil)
 }
 
 func assertParallelAgrees(t *testing.T, tag string, q *pyquery.CQ, db *pyquery.DB, wantEngine pyquery.Engine) {
@@ -146,12 +175,12 @@ func TestParallelDeterminismDecomp(t *testing.T) {
 		tag := fmt.Sprintf("decomp/seed=%d", seed)
 		assertParallelAgrees(t, tag, cyc, db, pyquery.EngineDecomp)
 
-		serial, err := decomp.EvaluateOpts(cyc, db, decomp.Options{Parallelism: 1})
+		serial, err := forceDecomp(cyc, db, 1)
 		if err != nil {
 			t.Fatalf("%s direct serial: %v", tag, err)
 		}
 		for _, par := range []int{2, 4} {
-			got, err := decomp.EvaluateOpts(cyc, db, decomp.Options{Parallelism: par})
+			got, err := forceDecomp(cyc, db, par)
 			if err != nil {
 				t.Fatalf("%s direct par=%d: %v", tag, par, err)
 			}
@@ -192,7 +221,7 @@ func TestParallelDeterminismWCOJ(t *testing.T) {
 			if !relation.EqualSet(got, serial) {
 				t.Fatalf("%s: Parallelism=%d answer differs from serial", tag, par)
 			}
-			direct, err := wcoj.Evaluate(q, db, par)
+			direct, err := forceWCOJ(q, db, par)
 			if err != nil {
 				t.Fatalf("%s direct par=%d: %v", tag, par, err)
 			}

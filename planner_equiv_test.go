@@ -1,23 +1,21 @@
 package pyquery_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"pyquery"
-	"pyquery/internal/decomp"
 	"pyquery/internal/eval"
 	"pyquery/internal/relation"
-	"pyquery/internal/wcoj"
 )
 
-// Planner equivalence (the A3/A5 ablation contract): on randomized
-// instances, the stats-driven join order, the legacy greedy heuristic, and
-// NoReorder must all be answer-set-equal — both through the generic
-// evaluator directly and through the facade's engine routing (which also
-// exercises the weighted join trees of the acyclic engines against the
-// generic baseline).
+// Planner equivalence (the A3 ablation contract): on randomized instances,
+// the stats-driven join order and NoReorder must be answer-set-equal — both
+// through the generic evaluator directly and through the facade's engine
+// routing (which also exercises the weighted join trees of the acyclic
+// engines against the generic baseline).
 
 // randPlannerCQ builds a random conjunctive query over E0/E1 (binary) and
 // U (unary): 2–4 atoms with random variables and occasional constants,
@@ -55,6 +53,15 @@ func randPlannerCQ(rnd *rand.Rand) *pyquery.CQ {
 	return q
 }
 
+// statsOrder runs the compiled backtracker under the cost-based join order.
+func statsOrder(q *pyquery.CQ, db *pyquery.DB) (*pyquery.Relation, error) {
+	bt, err := eval.Compile(q, db, eval.Options{Parallelism: 1}, nil)
+	if err != nil {
+		return nil, err
+	}
+	return bt.Exec(context.Background(), nil, nil)
+}
+
 func TestPlannerOrderingEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		rnd := rand.New(rand.NewSource(seed))
@@ -70,23 +77,16 @@ func TestPlannerOrderingEquivalence(t *testing.T) {
 		q := randPlannerCQ(rnd)
 		tag := fmt.Sprintf("seed=%d q=%v", seed, q)
 
-		want, err := eval.ConjunctiveOpts(q, db, eval.Options{Parallelism: 1, NoReorder: true})
+		want, err := reference(q, db)
 		if err != nil {
 			t.Fatalf("%s noreorder: %v", tag, err)
 		}
-		stats, err := eval.ConjunctiveOpts(q, db, eval.Options{Parallelism: 1})
+		stats, err := statsOrder(q, db)
 		if err != nil {
 			t.Fatalf("%s stats: %v", tag, err)
 		}
 		if !relation.EqualSet(stats, want) {
 			t.Fatalf("%s: stats-driven order changed the answer\nwant %v\ngot %v", tag, want, stats)
-		}
-		legacy, err := eval.ConjunctiveOpts(q, db, eval.Options{Parallelism: 1, LegacyGreedy: true})
-		if err != nil {
-			t.Fatalf("%s legacy: %v", tag, err)
-		}
-		if !relation.EqualSet(legacy, want) {
-			t.Fatalf("%s: legacy greedy order changed the answer", tag)
 		}
 		// Facade routing: whichever engine Plan picks (weighted join trees
 		// for the acyclic classes, bag trees for the decomposition class)
@@ -153,18 +153,18 @@ func TestPlannerCyclicDecompEquivalence(t *testing.T) {
 			t.Fatalf("%s: planned %v, want decomp (or yannakakis if collapsed)", tag, got)
 		}
 
-		want, err := eval.ConjunctiveOpts(q, db, eval.Options{Parallelism: 1, NoReorder: true})
+		want, err := reference(q, db)
 		if err != nil {
 			t.Fatalf("%s noreorder: %v", tag, err)
 		}
-		stats, err := eval.ConjunctiveOpts(q, db, eval.Options{Parallelism: 1})
+		stats, err := statsOrder(q, db)
 		if err != nil {
 			t.Fatalf("%s stats: %v", tag, err)
 		}
 		if !relation.EqualSet(stats, want) {
 			t.Fatalf("%s: stats-driven backtracker disagrees", tag)
 		}
-		direct, err := decomp.EvaluateOpts(q, db, decomp.Options{Parallelism: 1})
+		direct, err := forceDecomp(q, db, 1)
 		if err != nil {
 			t.Fatalf("%s decomp: %v", tag, err)
 		}
@@ -173,7 +173,7 @@ func TestPlannerCyclicDecompEquivalence(t *testing.T) {
 		}
 		// The leapfrog engine, forced past its cost gate (these instances are
 		// pure, so they are always in its eligibility class).
-		lf, err := wcoj.Evaluate(q, db, 1)
+		lf, err := forceWCOJ(q, db, 1)
 		if err != nil {
 			t.Fatalf("%s wcoj: %v", tag, err)
 		}

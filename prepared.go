@@ -13,7 +13,6 @@ import (
 	"pyquery/internal/eval"
 	"pyquery/internal/governor"
 	"pyquery/internal/ivm"
-	"pyquery/internal/order"
 	"pyquery/internal/parallel"
 	"pyquery/internal/query"
 	"pyquery/internal/relation"
@@ -72,39 +71,44 @@ type Prepared struct {
 	reportedPos *relation.TupleMap
 }
 
-// prepState is one frozen compilation: the routing decision plus exactly
-// one engine-specific compiled artifact. It is immutable after compile
+// program is the one contract every engine's compiled form satisfies
+// (eval.Compiled, yannakakis.Program — also the decomposition engine's, over
+// a bag tree — core.Program, wcoj.Compiled): frozen and safe for concurrent
+// executions, worker budget fixed at compile. vals are the template's bound
+// parameter values (only the backtracker accepts any); m is the execution's
+// meter, nil when nothing is governed.
+type program interface {
+	Exec(ctx context.Context, vals []relation.Value, m *governor.Meter) (*relation.Relation, error)
+	ExecBool(ctx context.Context, vals []relation.Value, m *governor.Meter) (bool, error)
+}
+
+// streamer is the optional extra of programs that can emit answers without
+// materializing them — the backtracker alone.
+type streamer interface {
+	ForEach(ctx context.Context, vals []relation.Value, m *governor.Meter, fn func(tuple []relation.Value) bool) error
+}
+
+// emptyProgram is the program of a statement whose constraints alone force
+// the empty answer (routing.unsat): no engine runs. The value is the head
+// width.
+type emptyProgram int
+
+func (w emptyProgram) Exec(context.Context, []relation.Value, *governor.Meter) (*relation.Relation, error) {
+	return query.NewTable(int(w)), nil
+}
+
+func (emptyProgram) ExecBool(context.Context, []relation.Value, *governor.Meter) (bool, error) {
+	return false, nil
+}
+
+// prepState is one frozen compilation: the routing decision, the program it
+// materialized into, and the staleness epoch. It is immutable after compile
 // (the lazily added decide program is the one atomic exception) and shared
 // by concurrent executions.
 type prepState struct {
 	engine Engine
 	epochs []relEpoch
-
-	// unsat marks queries whose comparison constraints alone are
-	// inconsistent (the collapse preprocessing failed): every execution
-	// answers empty/false.
-	unsat bool
-	// trivial marks acyclic queries with an atom that reduced to ∅ at
-	// compile time: empty until the database changes.
-	trivial bool
-
-	bt *eval.Compiled // generic class, collapsed comparisons, and every parameterized template
-	// tree is the frozen acyclic template, forked per execution: the
-	// reduced atoms on their join tree (EngineYannakakis), or the
-	// materialized bags on their bag tree (EngineDecomp — the O(n^width)
-	// bag joins are paid at Prepare, per the compile/execute split).
-	tree *yannakakis.Tree
-	prog *core.Program // Theorem 2 color-coding program
-	// wc is the frozen leapfrog-triejoin plan (EngineWCOJ): the per-atom
-	// sorted tries are built at Prepare, executions only run the
-	// intersection search.
-	wc *wcoj.Compiled
-
-	// govRows/govBytes are the rows/bytes the governed compile step already
-	// materialized into the frozen template (decomposition bags). Every
-	// governed execution pre-charges them, so a per-execution budget
-	// accounts for the frozen state it joins against.
-	govRows, govBytes int64
+	run    program
 
 	decide atomic.Pointer[decideState] // lazy Decide program (head-bound membership)
 }
@@ -122,18 +126,6 @@ type relEpoch struct {
 	at   uint64
 	rel  *relation.Relation
 	n    int
-}
-
-// groundFalseCmps reports whether a ground comparison already falsifies the
-// query (markers from head substitution, or user-written constants) — the
-// check the decomposition engine runs up front, hoisted to compile time.
-func groundFalseCmps(q *CQ) bool {
-	for _, c := range q.Cmps {
-		if !c.Left.IsVar && !c.Right.IsVar && !c.Holds(c.Left.Const, c.Right.Const) {
-			return true
-		}
-	}
-	return false
 }
 
 // Prepare compiles q against db under opts (Parallelism is frozen into the
@@ -167,117 +159,45 @@ func (p *Prepared) Params() []string { return append([]string(nil), p.params...)
 // a service layer coalesce same-statement requests onto one execution.
 func (p *Prepared) Fingerprint() string { return p.q.String() }
 
-// compile builds a fresh prepState from the current database snapshot.
+// compile builds a fresh prepState from the current database snapshot:
+// route decides, and the chosen engine's Compile materializes the decision.
 func (p *Prepared) compile() (*prepState, error) {
 	q, db, opts := p.q, p.db, p.opts
-	st := &prepState{}
-	evalOpts := eval.Options{Parallelism: opts.Parallelism}
-
-	if len(p.params) > 0 {
-		st.engine = EngineGeneric
-		bt, err := eval.Compile(q, db, evalOpts, nil)
-		if err != nil {
-			return nil, err
-		}
-		st.bt = bt
-		return p.snapshotLens(st), nil
+	rt, err := route(q, db, opts)
+	if err != nil {
+		return nil, err
 	}
-
-	st.engine = classify(q)
-	switch st.engine {
-	case EngineYannakakis:
-		tree, trivial, err := yannakakis.Compile(q, db)
-		if err != nil {
-			return nil, err
-		}
-		st.tree, st.trivial = tree, trivial
-	case EngineColorCoding:
-		prog, err := core.Compile(q, db, opts)
-		if err != nil {
-			return nil, err
-		}
-		st.prog = prog
-	case EngineComparisons:
-		qc, err := order.Collapse(q)
-		if errors.Is(err, order.ErrInconsistent) {
-			st.unsat = true
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		bt, err := eval.Compile(qc, db, evalOpts, nil)
-		if err != nil {
-			return nil, err
-		}
-		st.bt = bt
-	case EngineDecomp:
-		// Resolve the database-dependent half of the class in one PlanFor
-		// call: existence of a width-≤3 decomposition and the cost gate
-		// against the backtracker. A winning decomposition is materialized
-		// right here — the bags are immutable for the epoch, so executions
-		// only run the acyclic passes over the frozen bag tree. Gate losses
-		// (and Options.NoDecomp, ablation A6) freeze the generic plan
-		// instead.
-		if groundFalseCmps(q) {
-			st.unsat = true
-			break
-		}
-		degraded := false
-		if !opts.NoDecomp {
-			if rt, err := decomp.PlanFor(q, db); err == nil && rt.Use {
-				// The bag joins are the one compile step that materializes
-				// O(n^width) state, so they run under their own meter with
-				// the execution budget. On a trip: without Degrade the limit
-				// error surfaces from Prepare; with Degrade the partial bags
-				// are dropped (nothing retains them — GC reclaims) and the
-				// query falls through to the backtracker, which runs under
-				// the full per-execution budget instead.
-				cm := governor.New(nil, "decomp", opts.MaxRows, opts.MemoryLimit)
-				tree, _, empty := decomp.Materialize(q, rt, parallel.Workers(opts.Parallelism), nil, cm)
-				if gerr := cm.Err(); gerr != nil {
-					if !opts.Degrade {
-						return nil, gerr
-					}
-					degraded = true
-				} else {
-					if tree != nil {
-						// Detach the compile meter: each execution forks the
-						// template under its own meter.
-						tree.Meter = nil
-					}
-					st.tree, st.trivial = tree, empty
-					st.govRows, st.govBytes = cm.Rows(), cm.Bytes()
-					break
-				}
-			}
-		}
-		// Second gate: a cyclic pure query the decomposition passed over may
-		// still beat the backtracker worst-case-optimally — weigh the AGM
-		// bound against the skew-aware backtracker bound and freeze the
-		// leapfrog plan (tries sorted here, at Prepare) when it wins. A
-		// degraded decomposition skips this: the budget already tripped once,
+	st := &prepState{engine: rt.engine}
+	workers := parallel.Workers(opts.Parallelism)
+	switch {
+	case rt.unsat:
+		st.run = emptyProgram(len(q.Head))
+	case rt.engine == EngineYannakakis:
+		st.run, err = yannakakis.Compile(q, db, yannakakis.Options{Parallelism: opts.Parallelism})
+	case rt.engine == EngineColorCoding:
+		st.run, err = core.Compile(q, db, opts.core())
+	case rt.engine == EngineWCOJ:
+		st.run, err = wcoj.Compile(q, rt.wcoj, workers)
+	case rt.engine == EngineDecomp:
+		// The bag joins run under their own compile meter with the execution
+		// budget. On a trip: without Degrade the limit error surfaces from
+		// Prepare; with Degrade the partial bags are dropped (nothing retains
+		// them — GC reclaims) and the statement freezes the backtracker, which
+		// runs under the full per-execution budget instead. A degraded compile
+		// does not revisit the leapfrog gate: the budget already tripped once,
 		// and trie building materializes comparable state up front.
-		// Options.NoWCOJ (ablation A7) forces the generic fallback.
-		if !degraded && !opts.NoWCOJ {
-			if wr, err := wcoj.PlanFor(q, db); err == nil && wr.Use {
-				wc, err := wcoj.Compile(q, wr)
-				if err != nil {
-					return nil, err
-				}
-				st.engine = EngineWCOJ
-				st.wc = wc
-				break
-			}
+		cm := governor.New(nil, "decomp", opts.MaxRows, opts.MemoryLimit)
+		st.run, err = decomp.Compile(q, rt.decomp, workers, cm)
+		if err == nil || !opts.Degrade {
+			break
 		}
 		st.engine = EngineGeneric
 		fallthrough
-	default:
-		bt, err := eval.Compile(q, db, evalOpts, nil)
-		if err != nil {
-			return nil, err
-		}
-		st.bt = bt
+	default: // EngineGeneric, EngineComparisons (rt.q is the collapsed query)
+		st.run, err = eval.Compile(rt.q, db, eval.Options{Parallelism: opts.Parallelism}, nil)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return p.snapshotLens(st), nil
 }
@@ -376,62 +296,7 @@ func (p *Prepared) Exec(ctx context.Context, args ...Arg) (res *Relation, err er
 		return nil, err
 	}
 	defer recoverInternal(engineLabel(st.engine), &err)
-	return p.execWith(ectx, st, vals, m)
-}
-
-// govErr is the end-of-execution checkpoint: the governed check when a
-// meter is live, the plain ctx poll otherwise.
-func govErr(ctx context.Context, m *governor.Meter) error {
-	if m != nil {
-		return m.Check("finish")
-	}
-	return parallel.CtxErr(ctx)
-}
-
-// classifyCtx wraps a finished context's error into the typed taxonomy at
-// a boundary that runs before any meter exists. The result matches both
-// the sentinel (ErrTimeout/ErrCanceled) and the underlying context error.
-func classifyCtx(engine, step string, cerr error) error {
-	kind := governor.ErrCanceled
-	if errors.Is(cerr, context.DeadlineExceeded) {
-		kind = governor.ErrTimeout
-	}
-	return &governor.Error{Kind: kind, Engine: engine, Step: step, Cause: cerr}
-}
-
-// execWith dispatches an execution on an already revalidated state with
-// already resolved argument values, under the execution's meter (nil when
-// nothing is governed).
-func (p *Prepared) execWith(ctx context.Context, st *prepState, vals []relation.Value, m *governor.Meter) (*Relation, error) {
-	switch {
-	case st.unsat || st.trivial:
-		return query.NewTable(len(p.q.Head)), nil
-	case st.bt != nil:
-		return st.bt.Exec(ctx, vals, m)
-	case st.wc != nil:
-		return st.wc.Exec(ctx, parallel.Workers(p.opts.Parallelism), m)
-	case st.prog != nil:
-		if m != nil {
-			return st.prog.ExecMeter(ctx, m)
-		}
-		return st.prog.Exec(ctx)
-	default:
-		t := st.tree.Fork()
-		t.Workers = parallel.Workers(p.opts.Parallelism)
-		t.Ctx = ctx
-		t.Meter = m
-		if t.FullReduce() {
-			if err := govErr(ctx, m); err != nil {
-				return nil, err
-			}
-			return query.NewTable(len(p.q.Head)), nil
-		}
-		pstar := t.JoinProject()
-		if err := govErr(ctx, m); err != nil {
-			return nil, err
-		}
-		return yannakakis.HeadTuples(p.q, pstar), nil
-	}
+	return st.run.Exec(ectx, vals, m)
 }
 
 // ExecBool decides Q(d) ≠ ∅ with the frozen plan, stopping at the first
@@ -443,49 +308,46 @@ func (p *Prepared) ExecBool(ctx context.Context, args ...Arg) (ok bool, err erro
 		return false, err
 	}
 	defer recoverInternal(engineLabel(st.engine), &err)
-	switch {
-	case st.unsat || st.trivial:
-		return false, nil
-	case st.bt != nil:
-		return st.bt.ExecBool(ectx, vals, m)
-	case st.wc != nil:
-		return st.wc.ExecBool(ectx, m)
-	case st.prog != nil:
-		if m != nil {
-			return st.prog.ExecBoolMeter(ectx, m)
-		}
-		return st.prog.ExecBool(ectx)
-	default:
-		t := st.tree.Fork()
-		t.Workers = parallel.Workers(p.opts.Parallelism)
-		t.Ctx = ectx
-		t.Meter = m
-		empty := t.BottomUpSemijoin()
-		if err := govErr(ectx, m); err != nil {
-			return false, err
-		}
-		return !empty, nil
-	}
+	return st.run.ExecBool(ectx, vals, m)
 }
 
-// begin revalidates the epoch, resolves arguments, applies Options.Timeout
-// to the context, and builds the execution's meter. done must be called
-// (deferred) by every caller — it releases the timeout's timer; m is nil
-// when nothing is governed (no limits, no cancelable context, no fault
-// hook), which keeps ungoverned executions at their pre-governor cost.
-func (p *Prepared) begin(ctx context.Context, args []Arg) (st *prepState, vals []relation.Value, ectx context.Context, m *governor.Meter, done func(), err error) {
-	done = func() {}
-	ectx = ctx
+// govern is the execution prelude every governed boundary takes — begin
+// (Exec/ExecBool/ForEach), Decide, and Refresh: Options.Timeout becomes a
+// deadline on the returned context (done releases its timer and must be
+// deferred), and a context that has already finished is classified into the
+// typed taxonomy under the boundary's label before any work runs. The error
+// matches both the sentinel (ErrTimeout/ErrCanceled) and the underlying
+// context error.
+func (p *Prepared) govern(ctx context.Context, label string) (ectx context.Context, done func(), err error) {
+	ectx, done = ctx, func() {}
 	if p.opts.Timeout > 0 {
 		if ectx == nil {
 			ectx = context.Background()
 		}
-		var cancel context.CancelFunc
-		ectx, cancel = context.WithTimeout(ectx, p.opts.Timeout)
-		done = cancel
+		ectx, done = context.WithTimeout(ectx, p.opts.Timeout)
 	}
 	if cerr := parallel.CtxErr(ectx); cerr != nil {
-		err = classifyCtx("prepare", "begin", cerr)
+		kind := governor.ErrCanceled
+		if errors.Is(cerr, context.DeadlineExceeded) {
+			kind = governor.ErrTimeout
+		}
+		err = &governor.Error{Kind: kind, Engine: label, Step: "begin", Cause: cerr}
+	}
+	return ectx, done, err
+}
+
+// meter builds the boundary's meter over govern's context: nil when nothing
+// is governed (no limits, no cancelable context, no fault hook), which keeps
+// ungoverned executions at their pre-governor cost.
+func (p *Prepared) meter(ctx context.Context, label string) *governor.Meter {
+	return governor.New(ctx, label, p.opts.MaxRows, p.opts.MemoryLimit)
+}
+
+// begin opens one execution: the govern prelude, epoch revalidation,
+// argument resolution, and the execution's meter labeled by the frozen
+// engine. done must be called (deferred) by every caller.
+func (p *Prepared) begin(ctx context.Context, args []Arg) (st *prepState, vals []relation.Value, ectx context.Context, m *governor.Meter, done func(), err error) {
+	if ectx, done, err = p.govern(ctx, "prepare"); err != nil {
 		return nil, nil, ectx, nil, done, err
 	}
 	if st, err = p.current(); err != nil {
@@ -494,14 +356,7 @@ func (p *Prepared) begin(ctx context.Context, args []Arg) (st *prepState, vals [
 	if vals, err = p.argVals(args); err != nil {
 		return nil, nil, ectx, nil, done, err
 	}
-	if m = governor.New(ectx, engineLabel(st.engine), p.opts.MaxRows, p.opts.MemoryLimit); m != nil {
-		// The frozen decomposition bags this execution joins against count
-		// toward its budget; a trip here surfaces at the first checkpoint.
-		if st.govRows > 0 || st.govBytes > 0 {
-			m.Charge(st.govRows, st.govBytes, "frozen-bags")
-		}
-	}
-	return st, vals, ectx, m, done, nil
+	return st, vals, ectx, p.meter(ectx, engineLabel(st.engine)), done, nil
 }
 
 // ForEach streams the answer tuples to fn, stopping early when fn returns
@@ -516,13 +371,10 @@ func (p *Prepared) ForEach(ctx context.Context, fn func(tuple []Value) bool, arg
 		return err
 	}
 	defer recoverInternal(engineLabel(st.engine), &err)
-	if st.unsat || st.trivial {
-		return nil
+	if s, ok := st.run.(streamer); ok {
+		return s.ForEach(ectx, vals, m, fn)
 	}
-	if st.bt != nil {
-		return st.bt.ForEach(ectx, vals, m, fn)
-	}
-	res, err := p.execWith(ectx, st, vals, m)
+	res, err := st.run.Exec(ectx, vals, m)
 	if err != nil {
 		return err
 	}
@@ -565,19 +417,10 @@ func (p *Prepared) Rows(ctx context.Context, args ...Arg) iter.Seq2[[]Value, err
 // the template's parameters as in Exec.
 func (p *Prepared) Decide(ctx context.Context, t []Value, args ...Arg) (ok bool, err error) {
 	defer recoverInternal("decide", &err)
-	ectx := ctx
-	done := func() {}
-	if p.opts.Timeout > 0 {
-		if ectx == nil {
-			ectx = context.Background()
-		}
-		var cancel context.CancelFunc
-		ectx, cancel = context.WithTimeout(ectx, p.opts.Timeout)
-		done = cancel
-	}
+	ectx, done, err := p.govern(ctx, "decide")
 	defer done()
-	if cerr := parallel.CtxErr(ectx); cerr != nil {
-		return false, classifyCtx("decide", "begin", cerr)
+	if err != nil {
+		return false, err
 	}
 	if len(t) != len(p.q.Head) {
 		return false, fmt.Errorf("pyquery: tuple arity %d does not match head arity %d", len(t), len(p.q.Head))
@@ -627,7 +470,7 @@ func (p *Prepared) Decide(ctx context.Context, t []Value, args ...Arg) (ok bool,
 		dvals = append(dvals, vals[pi])
 	}
 	dvals = append(dvals, headVals...)
-	return ds.prog.ExecBool(ectx, dvals, governor.New(ectx, "decide", p.opts.MaxRows, p.opts.MemoryLimit))
+	return ds.prog.ExecBool(ectx, dvals, p.meter(ectx, "decide"))
 }
 
 // headKind classifies one head position of the frozen decide plan.
@@ -742,19 +585,10 @@ func (p *Prepared) Refresh(ctx context.Context) (added, removed *Relation, err e
 		return nil, nil, ErrNotMaintainable
 	}
 	defer recoverInternal("ivm", &err)
-	ectx := ctx
-	done := func() {}
-	if p.opts.Timeout > 0 {
-		if ectx == nil {
-			ectx = context.Background()
-		}
-		var cancel context.CancelFunc
-		ectx, cancel = context.WithTimeout(ectx, p.opts.Timeout)
-		done = cancel
-	}
+	ectx, done, err := p.govern(ctx, "ivm")
 	defer done()
-	if cerr := parallel.CtxErr(ectx); cerr != nil {
-		return nil, nil, classifyCtx("ivm", "begin", cerr)
+	if err != nil {
+		return nil, nil, err
 	}
 	p.refMu.Lock()
 	defer p.refMu.Unlock()
@@ -769,8 +603,7 @@ func (p *Prepared) Refresh(ctx context.Context) (added, removed *Relation, err e
 		}
 	}
 	if p.maint != nil {
-		m := governor.New(ectx, "ivm", p.opts.MaxRows, p.opts.MemoryLimit)
-		return p.maint.Refresh(ectx, m, p.opts.Parallelism)
+		return p.maint.Refresh(ectx, p.meter(ectx, "ivm"), p.opts.Parallelism)
 	}
 	// Unmaintainable shape: re-execute and diff against the last report.
 	res, err := p.Exec(ectx)

@@ -9,25 +9,33 @@ import (
 	"time"
 
 	"pyquery"
+	"pyquery/internal/eval"
 	"pyquery/internal/leakcheck"
 	"pyquery/internal/relation"
 	"pyquery/internal/workload"
 )
 
-// Equivalence contract of the prepared-statement redesign: for every
-// engine class, Prepared.Exec/ExecBool must be set-equal to the one-shot
-// EvaluateOpts/EvaluateBoolOpts (compiled fresh via NoCache), across
-// parallelism levels, across repeated executions of one Prepared, across
-// parameter bindings vs. inlined constants, and across database mutations
-// (the staleness replan).
+// Equivalence contract of the prepared statements: for every engine class,
+// Prepared.Exec/ExecBool/ForEach must be set-equal to the reference
+// evaluator, across parallelism levels, across repeated executions of one
+// Prepared, across parameter bindings vs. inlined constants, and across
+// database mutations (the staleness replan).
 
-// oneShot evaluates from scratch, bypassing the plan cache — the pre-PR-5
-// behavior every prepared execution is pinned against.
-func oneShot(t *testing.T, q *pyquery.CQ, db *pyquery.DB, par int) *pyquery.Relation {
-	t.Helper()
-	want, err := pyquery.EvaluateOpts(q, db, pyquery.Options{Parallelism: par, NoCache: true})
+// reference is the suites' ground truth: the compiled backtracker in the
+// written atom order (NoReorder) — no routing, no shared planning code.
+func reference(q *pyquery.CQ, db *pyquery.DB) (*pyquery.Relation, error) {
+	bt, err := eval.Compile(q, db, eval.Options{Parallelism: 1, NoReorder: true}, nil)
 	if err != nil {
-		t.Fatalf("one-shot: %v", err)
+		return nil, err
+	}
+	return bt.Exec(context.Background(), nil, nil)
+}
+
+func mustReference(t *testing.T, q *pyquery.CQ, db *pyquery.DB) *pyquery.Relation {
+	t.Helper()
+	want, err := reference(q, db)
+	if err != nil {
+		t.Fatalf("reference: %v", err)
 	}
 	return want
 }
@@ -36,11 +44,8 @@ func assertPreparedAgrees(t *testing.T, tag string, q *pyquery.CQ, db *pyquery.D
 	t.Helper()
 	ctx := context.Background()
 	for _, par := range []int{1, 3} {
-		want := oneShot(t, q, db, par)
-		wantOK, err := pyquery.EvaluateBoolOpts(q, db, pyquery.Options{Parallelism: par, NoCache: true})
-		if err != nil {
-			t.Fatalf("%s one-shot bool: %v", tag, err)
-		}
+		want := mustReference(t, q, db)
+		wantOK := want.Bool()
 		p, err := pyquery.Prepare(q, db, pyquery.Options{Parallelism: par})
 		if err != nil {
 			t.Fatalf("%s prepare: %v", tag, err)
@@ -52,7 +57,7 @@ func assertPreparedAgrees(t *testing.T, tag string, q *pyquery.CQ, db *pyquery.D
 				t.Fatalf("%s par=%d rep=%d exec: %v", tag, par, rep, err)
 			}
 			if !relation.EqualSet(got, want) {
-				t.Fatalf("%s par=%d rep=%d: prepared answer differs from one-shot\nwant %v\ngot  %v",
+				t.Fatalf("%s par=%d rep=%d: prepared answer differs from reference\nwant %v\ngot  %v",
 					tag, par, rep, want, got)
 			}
 			gotOK, err := p.ExecBool(ctx)
@@ -60,7 +65,7 @@ func assertPreparedAgrees(t *testing.T, tag string, q *pyquery.CQ, db *pyquery.D
 				t.Fatalf("%s par=%d rep=%d execbool: %v", tag, par, rep, err)
 			}
 			if gotOK != wantOK {
-				t.Fatalf("%s par=%d rep=%d: ExecBool=%v, one-shot %v", tag, par, rep, gotOK, wantOK)
+				t.Fatalf("%s par=%d rep=%d: ExecBool=%v, reference %v", tag, par, rep, gotOK, wantOK)
 			}
 		}
 		// Streaming must enumerate exactly the answer set.
@@ -72,7 +77,7 @@ func assertPreparedAgrees(t *testing.T, tag string, q *pyquery.CQ, db *pyquery.D
 			t.Fatalf("%s foreach: %v", tag, err)
 		}
 		if !relation.EqualSet(streamed, want) {
-			t.Fatalf("%s par=%d: ForEach stream differs from one-shot", tag, par)
+			t.Fatalf("%s par=%d: ForEach stream differs from reference", tag, par)
 		}
 	}
 }
@@ -149,7 +154,7 @@ func TestPreparedEquivDecomp(t *testing.T) {
 
 // The worst-case-optimal class: dense skewed hub graphs route triangle and
 // clique queries to the leapfrog engine, whose frozen tries must keep
-// answering like the one-shot path across repeats, parallelism, and
+// answering like the reference path across repeats, parallelism, and
 // streaming.
 func TestPreparedEquivWCOJ(t *testing.T) {
 	for i, q := range []*pyquery.CQ{workload.TriangleQuery(), workload.CliqueQuery(4)} {
@@ -171,7 +176,7 @@ func TestPreparedEquivWCOJ(t *testing.T) {
 		if got := pa.Engine(); got == pyquery.EngineWCOJ {
 			t.Fatalf("case %d: NoWCOJ still routed to wcoj", i)
 		}
-		want := oneShot(t, q, db, 1)
+		want := mustReference(t, q, db)
 		got, err := pa.Exec(context.Background())
 		if err != nil || !relation.EqualSet(got, want) {
 			t.Fatalf("case %d: NoWCOJ answer drifted (%v)", i, err)
@@ -264,19 +269,18 @@ func TestPreparedParamsMatchInlinedConstants(t *testing.T) {
 				if got := pyquery.Plan(inlined); got != c.engine {
 					t.Fatalf("%s: inlined query classifies as %v, want %v", c.name, got, c.engine)
 				}
-				want := oneShot(t, inlined, db, 1)
+				want := mustReference(t, inlined, db)
 				got, err := p.Exec(ctx, pyquery.Bind(name, pyquery.Value(val)))
 				if err != nil {
 					t.Fatalf("%s exec($%s=%d): %v", c.name, name, val, err)
 				}
 				if !relation.EqualSet(got, want) {
-					t.Fatalf("%s $%s=%d: prepared differs from inlined one-shot\nwant %v\ngot  %v",
+					t.Fatalf("%s $%s=%d: prepared differs from inlined reference\nwant %v\ngot  %v",
 						c.name, name, val, want, got)
 				}
-				wantOK, _ := pyquery.EvaluateBoolOpts(inlined, db, pyquery.Options{Parallelism: 1, NoCache: true})
 				gotOK, err := p.ExecBool(ctx, pyquery.Bind(name, pyquery.Value(val)))
-				if err != nil || gotOK != wantOK {
-					t.Fatalf("%s $%s=%d bool: got (%v,%v), want %v", c.name, name, val, gotOK, err, wantOK)
+				if err != nil || gotOK != want.Bool() {
+					t.Fatalf("%s $%s=%d bool: got (%v,%v), want %v", c.name, name, val, gotOK, err, want.Bool())
 				}
 			}
 		}
@@ -304,7 +308,7 @@ func TestPreparedStalenessReplan(t *testing.T) {
 		} else {
 			db.Set("R1", randEdges(rnd, 30+rnd.Intn(40), 6+rnd.Intn(6)))
 		}
-		want := oneShot(t, q, db, 1)
+		want := mustReference(t, q, db)
 		got, err := p.Exec(ctx)
 		if err != nil {
 			t.Fatalf("post-Set exec: %v", err)
@@ -331,7 +335,7 @@ func TestPreparedDecide(t *testing.T) {
 		rnd := rand.New(rand.NewSource(seed))
 		db := pathDB(rnd)
 		q := pathQuery()
-		want := oneShot(t, q, db, 1)
+		want := mustReference(t, q, db)
 		p, err := pyquery.Prepare(q, db, pyquery.Options{Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -434,14 +438,14 @@ func TestPreparedDecideWithParams(t *testing.T) {
 		if got != tc.want {
 			t.Fatalf("Decide(a=%d,b=%d,%v) = %v, want %v", tc.a, tc.b, tc.tuple, got, tc.want)
 		}
-		// Cross-check against the inlined one-shot answer set.
+		// Cross-check against the inlined reference answer set.
 		inlined, err := q.BindParams(map[string]pyquery.Value{"a": tc.a, "b": tc.b})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := oneShot(t, inlined, db, 1)
+		want := mustReference(t, inlined, db)
 		if want.Contains(tc.tuple) != tc.want {
-			t.Fatalf("test vector inconsistent with one-shot for a=%d b=%d %v", tc.a, tc.b, tc.tuple)
+			t.Fatalf("test vector inconsistent with reference for a=%d b=%d %v", tc.a, tc.b, tc.tuple)
 		}
 	}
 
@@ -571,7 +575,7 @@ func TestPreparedRowsEarlyStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := oneShot(t, pathQuery(), db, 1)
+	want := mustReference(t, pathQuery(), db)
 	if want.Len() < 2 {
 		t.Skip("answer too small for an early-stop test")
 	}

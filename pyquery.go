@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"time"
 
 	"pyquery/internal/core"
 	"pyquery/internal/decomp"
@@ -73,11 +74,65 @@ type (
 	Symbols = parser.Symbols
 	// Stats reports what the Theorem 2 engine did.
 	Stats = core.Stats
-	// Options configures evaluation. Parallelism applies to every engine
-	// (0 = GOMAXPROCS, 1 = serial); the remaining fields configure the
-	// Theorem 2 color-coding engine and are ignored elsewhere.
-	Options = core.Options
 )
+
+// Options configures evaluation. The struct is comparable — it is half of
+// the plan-cache key — so every field must stay a plain value.
+type Options struct {
+	// Strategy, C, Delta, Seed, and NoPushdown configure the Theorem 2
+	// color-coding engine (see core.Options) and are ignored elsewhere:
+	// the hash family, the Monte-Carlo confidence multiplier (default 3),
+	// the whp-family failure bound (default 1e-9), the seed of every
+	// randomized choice, and the I₂ selection pushdown ablation (A1).
+	Strategy   core.Strategy
+	C          float64
+	Delta      float64
+	Seed       int64
+	NoPushdown bool
+	// NoDecomp disables the hypertree-decomposition engine (ablation A6):
+	// cyclic low-width queries fall back to the generic backtracker.
+	NoDecomp bool
+	// NoWCOJ disables the worst-case-optimal leapfrog-triejoin engine
+	// (ablation A7): dense cyclic queries that would route there fall back
+	// to the generic backtracker (or the decomposition engine when its own
+	// gate fires first).
+	NoWCOJ bool
+	// NoCache makes the Evaluate* free functions plan from scratch instead
+	// of consulting the per-database prepared-plan cache — for benchmarking
+	// the amortization (experiment E9) and for callers that never repeat a
+	// query.
+	NoCache bool
+	// Parallelism is the worker count of whichever engine the router
+	// selects, frozen into the plan at Prepare. 0 means GOMAXPROCS; 1 is
+	// the serial engine. Results are set-equal at every setting.
+	Parallelism int
+
+	// The resource governor, enforced by the prepared layer: engines
+	// receive the resulting meter, not the raw limits.
+
+	// MaxRows caps the total materialized rows of one execution (answer
+	// rows, per-worker intermediates, tree-pass results, decomposition
+	// bags). 0 means unlimited. Exceeding it surfaces ErrRowLimit.
+	MaxRows int64
+	// MemoryLimit caps the approximate materialized bytes of one execution
+	// (rows × width × 8; see governor.RelBytes). 0 means unlimited.
+	// Exceeding it surfaces ErrMemoryLimit.
+	MemoryLimit int64
+	// Timeout, when positive, derives a per-execution deadline from the
+	// caller's context. Expiry surfaces ErrTimeout (which also matches
+	// context.DeadlineExceeded).
+	Timeout time.Duration
+	// Degrade softens a decomposition budget trip: when materializing the
+	// bags exceeds MaxRows/MemoryLimit, the bags are released and the query
+	// falls back to the generic backtracker instead of failing.
+	Degrade bool
+}
+
+// core projects the options onto the fields the Theorem 2 engine reads.
+func (o Options) core() core.Options {
+	return core.Options{Strategy: o.Strategy, C: o.C, Delta: o.Delta, Seed: o.Seed,
+		NoPushdown: o.NoPushdown, Parallelism: o.Parallelism}
+}
 
 // Constructors re-exported for query building.
 var (
@@ -158,10 +213,10 @@ func (e Engine) String() string {
 	return "unknown"
 }
 
-// classify applies the query-only class boundaries shared by Plan,
-// planEval, and PlanDB. EngineDecomp here means "cyclic pure candidate" —
-// whether a width-≤3 decomposition actually exists (and, with a database,
-// whether it wins the cost gate) is the caller's refinement.
+// classify applies the query-only class boundaries shared by Plan and
+// route. EngineDecomp here means "cyclic pure candidate" — whether a
+// width-≤3 decomposition actually exists (and, with a database, whether it
+// wins the cost gate) is the caller's refinement.
 func classify(q *CQ) Engine {
 	if len(q.Cmps) > 0 {
 		for _, c := range q.Cmps {
@@ -192,6 +247,100 @@ func Plan(q *CQ) Engine {
 		return EngineGeneric
 	}
 	return e
+}
+
+// routing is the one routing decision for a (query, database, options)
+// triple. Prepared.compile materializes it into a program and PlanDB renders
+// it into a report, so the two cannot disagree.
+type routing struct {
+	engine Engine
+	// unsat marks queries whose constraints alone force the empty answer
+	// (an x≠x inequality, inconsistent or ground-false comparisons): no
+	// engine runs, the statement compiles to the empty program.
+	unsat bool
+	// q is the query the engine executes: the order.Collapse rewrite for
+	// EngineComparisons — that class is nothing but the rewrite in front of
+	// the backtracker — and the input query otherwise.
+	q *CQ
+	// i1, i2, k describe the Theorem 2 inequality partition
+	// (EngineColorCoding only).
+	i1, i2, k int
+	// decomp and wcoj are the gate inputs that were consulted, kept for
+	// the report (nil when a gate was skipped or found nothing). engine is
+	// EngineDecomp/EngineWCOJ exactly when the respective Use verdict fired.
+	decomp *decomp.Route
+	wcoj   *wcoj.Route
+}
+
+// groundFalseCmps reports whether a ground comparison already falsifies the
+// query (markers from head substitution, or user-written constants).
+func groundFalseCmps(q *CQ) bool {
+	for _, c := range q.Cmps {
+		if !c.Left.IsVar && !c.Right.IsVar && !c.Holds(c.Left.Const, c.Right.Const) {
+			return true
+		}
+	}
+	return false
+}
+
+// route decides which engine runs q on db. Parameterized templates always
+// take the compiled backtracker (parameters become pre-bound search slots).
+// Otherwise the query-only class is refined against the database: a cyclic
+// pure query goes to the decomposition engine when a width-≤3 decomposition
+// exists and its bag estimates beat the backtracker (Options.NoDecomp,
+// ablation A6, skips the gate); failing that, to the leapfrog engine when
+// the AGM bound strictly beats the backtracker's skew-aware worst case —
+// both are bounds, so the comparison is like-for-like (Options.NoWCOJ,
+// ablation A7, skips it); failing both, to the backtracker.
+func route(q *CQ, db *DB, opts Options) (routing, error) {
+	rt := routing{engine: EngineGeneric, q: q}
+	if len(q.Params()) > 0 {
+		return rt, nil
+	}
+	// A cyclic pure candidate (classify's EngineDecomp) stays with the
+	// backtracker unless one of the gates below fires.
+	class := classify(q)
+	if class != EngineDecomp {
+		rt.engine = class
+	}
+	if groundFalseCmps(q) {
+		rt.unsat = true
+		return rt, nil
+	}
+	switch class {
+	case EngineColorCoding:
+		i1, i2, v1, ok := core.Partition(q)
+		rt.i1, rt.i2, rt.k, rt.unsat = len(i1), len(i2), len(v1), !ok
+	case EngineComparisons:
+		qc, err := order.Collapse(q)
+		switch {
+		case errors.Is(err, order.ErrInconsistent):
+			rt.unsat = true
+		case err != nil:
+			return rt, err
+		default:
+			rt.q = qc
+		}
+	case EngineDecomp:
+		if !opts.NoDecomp {
+			if d, err := decomp.PlanFor(q, db); err == nil {
+				rt.decomp = d
+				if d.Use {
+					rt.engine = EngineDecomp
+					break
+				}
+			}
+		}
+		if !opts.NoWCOJ {
+			if w, err := wcoj.PlanFor(q, db); err == nil {
+				rt.wcoj = w
+				if w.Use {
+					rt.engine = EngineWCOJ
+				}
+			}
+		}
+	}
+	return rt, nil
 }
 
 // Evaluate computes Q(d), dispatching to the best engine for the query's
@@ -339,111 +488,70 @@ type PlanBag struct {
 	Est float64
 }
 
-// PlanDB plans q against db: it routes exactly like Plan — refining
-// EngineDecomp with the database-dependent cost gate — then builds the
-// cost-based plan (reduced atom cardinalities, cached column statistics,
-// estimated intermediate sizes) without evaluating the query. For
-// EngineComparisons the plan describes the collapsed query the engine
-// actually runs. For EngineColorCoding the report weights atoms by their
-// reduced sizes before the I₂ selection pushdown (which is internal to the
-// engine), so when a pushed-down inequality changes the relative sizes the
-// executed join-tree root can differ from RootAtom; the generic and
-// Yannakakis plans match the executed order exactly.
-func PlanDB(q *CQ, db *DB) (*PlanReport, error) {
-	// classify, not Plan: the decomposition block below resolves existence
-	// and the cost gate in one PlanFor call instead of Plan's throwaway
-	// structural search plus a second one.
-	r := &PlanReport{Engine: classify(q), QuerySize: q.Size(), NumVars: q.NumVars(), RootAtom: -1, RootBag: -1}
-	qe := q
-	switch r.Engine {
-	case EngineColorCoding:
-		i1, i2, v1, ok := core.Partition(q)
-		if !ok {
-			r.Unsatisfiable = true
-			return r, nil
+// varTuple renders a variable list as (x0,x1,…).
+func varTuple(vars []Var) string {
+	var b strings.Builder
+	b.WriteByte('(')
+	for i, v := range vars {
+		if i > 0 {
+			b.WriteByte(',')
 		}
-		r.I1, r.I2, r.K = len(i1), len(i2), len(v1)
-	case EngineComparisons:
-		qc, err := order.Collapse(q)
-		if errors.Is(err, order.ErrInconsistent) {
-			r.Unsatisfiable = true
-			return r, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		qe = qc
+		fmt.Fprintf(&b, "x%d", v)
 	}
-	pl, err := eval.PlanFor(qe, db)
+	b.WriteByte(')')
+	return b.String()
+}
+
+// PlanDB plans q against db: it renders the routing decision a default-
+// options Prepare freezes, then builds the cost-based plan (reduced atom
+// cardinalities, cached column statistics, estimated intermediate sizes)
+// without evaluating the query. For EngineComparisons the plan describes the
+// collapsed query the engine actually runs. For EngineColorCoding the report
+// weights atoms by their reduced sizes before the I₂ selection pushdown
+// (which is internal to the engine), so when a pushed-down inequality
+// changes the relative sizes the executed join-tree root can differ from
+// RootAtom; the generic and Yannakakis plans match the executed order
+// exactly.
+func PlanDB(q *CQ, db *DB) (*PlanReport, error) {
+	rt, err := route(q, db, Options{})
+	if err != nil {
+		return nil, err
+	}
+	r := &PlanReport{Engine: rt.engine, QuerySize: q.Size(), NumVars: q.NumVars(), RootAtom: -1, RootBag: -1,
+		Unsatisfiable: rt.unsat, I1: rt.i1, I2: rt.i2, K: rt.k}
+	if rt.unsat {
+		return r, nil
+	}
+	pl, err := eval.PlanFor(rt.q, db)
 	if err != nil {
 		return nil, err
 	}
 	r.Steps = pl.Steps
 	r.EstRows = pl.EstRows
 	r.EstCost = pl.Cost
-	if (r.Engine == EngineYannakakis || r.Engine == EngineColorCoding) && len(qe.Atoms) > 0 {
-		h, _ := plan.AtomHypergraph(qe)
+	if (r.Engine == EngineYannakakis || r.Engine == EngineColorCoding) && len(q.Atoms) > 0 {
+		h, _ := plan.AtomHypergraph(q)
 		if f, ok := h.JoinForest(); ok {
 			r.RootAtom = plan.OrderForest(f, pl.Inputs).JoinTree().Roots[0]
 		}
 	}
-	if r.Engine == EngineDecomp {
-		rt, err := decomp.PlanFor(q, db)
-		if err != nil {
-			r.Engine = EngineGeneric
-		} else {
-			r.Width = rt.Width
-			r.DecompCost = rt.Cost
-			for _, bag := range rt.Bags {
-				pb := PlanBag{Atoms: bag.Guards, Est: bag.Est}
-				var lb, vb strings.Builder
-				lb.WriteByte('{')
-				for i, ai := range bag.Guards {
-					if i > 0 {
-						lb.WriteString(", ")
-					}
-					lb.WriteString(q.Atoms[ai].String())
-				}
-				lb.WriteByte('}')
-				vb.WriteByte('(')
-				for i, v := range bag.Vars {
-					if i > 0 {
-						vb.WriteByte(',')
-					}
-					fmt.Fprintf(&vb, "x%d", v)
-				}
-				vb.WriteByte(')')
-				pb.Label, pb.Vars = lb.String(), vb.String()
-				r.Bags = append(r.Bags, pb)
+	if d := rt.decomp; d != nil {
+		r.Width = d.Width
+		r.DecompCost = d.Cost
+		for _, bag := range d.Bags {
+			labels := make([]string, len(bag.Guards))
+			for i, ai := range bag.Guards {
+				labels[i] = q.Atoms[ai].String()
 			}
-			if rt.Use {
-				r.RootBag = rt.Root
-			} else {
-				r.Engine = EngineGeneric
-			}
+			r.Bags = append(r.Bags, PlanBag{Atoms: bag.Guards, Est: bag.Est,
+				Label: "{" + strings.Join(labels, ", ") + "}", Vars: varTuple(bag.Vars)})
 		}
-		// Cyclic pure query without a winning decomposition: weigh the AGM
-		// bound against the backtracker's worst case — the wcoj gate. Both
-		// are bounds (not estimates), so this comparison is like-for-like
-		// and independent of the estimate-based EstCost above.
-		if r.Engine == EngineGeneric {
-			if wr, err := wcoj.PlanFor(q, db); err == nil {
-				r.AGMCost, r.WorstCost = wr.Cost, wr.WorstCost
-				var ob strings.Builder
-				ob.WriteByte('(')
-				for i, v := range wr.Order {
-					if i > 0 {
-						ob.WriteByte(',')
-					}
-					fmt.Fprintf(&ob, "x%d", v)
-				}
-				ob.WriteByte(')')
-				r.WCOJOrder = ob.String()
-				if wr.Use {
-					r.Engine = EngineWCOJ
-				}
-			}
+		if d.Use {
+			r.RootBag = d.Root
 		}
+	}
+	if w := rt.wcoj; w != nil {
+		r.AGMCost, r.WorstCost, r.WCOJOrder = w.Cost, w.WorstCost, varTuple(w.Order)
 	}
 	return r, nil
 }
@@ -519,7 +627,12 @@ func ExplainDB(q *CQ, db *DB) (string, error) {
 // returns its statistics; the query must be acyclic with inequalities.
 func EvaluateStats(q *CQ, db *DB, opts Options) (res *Relation, st Stats, err error) {
 	defer recoverInternal("colorcoding", &err)
-	return core.EvaluateStats(q, db, opts)
+	pr, err := core.Compile(q, db, opts.core())
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	res, err = pr.Exec(context.Background(), nil, nil)
+	return res, pr.Stats(), err
 }
 
 // IneqFormula is a positive ∧/∨ combination of ≠ atoms — the Section 5
@@ -542,5 +655,5 @@ type (
 // its own — the constraints live in φ.
 func EvaluateIneqFormula(q *CQ, phi IneqFormula, db *DB, opts Options) (res *Relation, err error) {
 	defer recoverInternal("colorcoding", &err)
-	return core.EvaluateIneqFormula(q, phi, db, opts)
+	return core.EvaluateIneqFormula(q, phi, db, opts.core())
 }
