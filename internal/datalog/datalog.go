@@ -212,7 +212,7 @@ func fireAll(ctx context.Context, firings []firing, work *query.DB, cur map[stri
 		}
 		sel := make([]int32, 0, out.Len())
 		for r := 0; r < out.Len(); r++ {
-			if !dst.set.ContainsRelRow(out, r) {
+			if !dst.set.ContainsRel(out, r, dst.cols) {
 				sel = append(sel, int32(r))
 			}
 		}
@@ -398,18 +398,23 @@ func evalSemiNaive(ctx context.Context, p *Program, idb map[string]int, work *qu
 
 // table is a relation with a keyed membership set for O(1) dedup.
 type table struct {
-	rel *relation.Relation
-	set *relation.TupleSet
+	rel  *relation.Relation
+	set  *relation.TupleSet
+	cols []int // 0..arity-1: probes read whole rows
 }
 
 func newTable(arity int) *table {
-	return &table{rel: query.NewTable(arity), set: relation.NewTupleSet(arity)}
+	cols := make([]int, arity)
+	for i := range cols {
+		cols[i] = i
+	}
+	return &table{rel: query.NewTable(arity), set: relation.NewTupleSet(arity), cols: cols}
 }
 
 // addRel inserts row i of r if new, reading the columns in place, with no
 // row materialization.
 func (t *table) addRel(r *relation.Relation, i int) bool {
-	if !t.set.AddRelRow(r, i) {
+	if !t.set.AddRel(r, i, t.cols) {
 		return false
 	}
 	t.rel.AppendRowOf(r, i)

@@ -105,50 +105,6 @@ func rewriteParams(q *query.CQ, params []string) (*query.CQ, []query.Var) {
 	return out, paramVars
 }
 
-// emitBatch is how many emitted rows a worker accumulates locally before
-// charging the meter: the emission hot path pays a local counter increment
-// and branch, with one pair of atomic adds per batch.
-const emitBatch = 64
-
-// rowMeter batches per-worker row charges. Each worker owns one; flush
-// charges the remainder when the worker's search ends.
-type rowMeter struct {
-	m        *governor.Meter
-	rowBytes int64
-	pend     int64
-}
-
-// add records one emitted row; false means the meter tripped and the
-// search should stop.
-func (rm *rowMeter) add() bool {
-	rm.pend++
-	if rm.pend < emitBatch {
-		return true
-	}
-	err := rm.m.Charge(rm.pend, rm.pend*rm.rowBytes, "emit")
-	rm.pend = 0
-	return err == nil
-}
-
-func (rm *rowMeter) flush() {
-	if rm.pend > 0 {
-		rm.m.Charge(rm.pend, rm.pend*rm.rowBytes, "emit")
-		rm.pend = 0
-	}
-}
-
-// meteredEmit wraps a collector emission with the row meter; the returned
-// flush must run after the worker's search drains.
-func meteredEmit(emit func() bool, m *governor.Meter, width int) (func() bool, func()) {
-	rm := &rowMeter{m: m, rowBytes: governor.RelBytes(1, width)}
-	return func() bool {
-		if !emit() {
-			return false
-		}
-		return rm.add()
-	}, rm.flush
-}
-
 // bind installs the pre-bound values into the cursor and evaluates the
 // constraints that involve pre-bound variables only; false means the
 // bindings alone falsify the query.
@@ -218,15 +174,9 @@ func (c *Compiled) Exec(ctx context.Context, vals []relation.Value, m *governor.
 		cur := e.newCursor()
 		cur.stop = stop
 		if c.bind(cur, vals) {
-			emit := e.collector(cur, out, relation.NewTupleSet(len(e.q.Head)))
-			var flush func()
-			if m != nil {
-				emit, flush = meteredEmit(emit, m, len(e.q.Head))
-			}
+			emit, flush := governor.BatchEmit(m, len(e.q.Head), e.collector(cur, out, relation.NewTupleSet(len(e.q.Head))))
 			cur.run(emit)
-			if flush != nil {
-				flush() // charge the partial batch before the finish check
-			}
+			flush() // charge the partial batch before the finish check
 		}
 		if err := governor.Check(ctx, m, "finish"); err != nil {
 			return nil, err
@@ -244,12 +194,8 @@ func (c *Compiled) Exec(ctx context.Context, vals []relation.Value, m *governor.
 			outs[w] = local
 			return
 		}
-		emit := e.collector(cur, local, relation.NewTupleSet(len(e.q.Head)))
-		if m != nil {
-			var flush func()
-			emit, flush = meteredEmit(emit, m, len(e.q.Head))
-			defer flush()
-		}
+		emit, flush := governor.BatchEmit(m, len(e.q.Head), e.collector(cur, local, relation.NewTupleSet(len(e.q.Head))))
+		defer flush()
 		for i := lo; i < hi; i++ {
 			if stop != nil && stop.Load() {
 				break
@@ -265,12 +211,13 @@ func (c *Compiled) Exec(ctx context.Context, vals []relation.Value, m *governor.
 		return nil, err
 	}
 	seen := relation.NewTupleSet(len(e.q.Head))
+	buf := make([]relation.Value, len(e.q.Head))
 	for _, local := range outs {
 		if local == nil {
 			continue
 		}
 		for i := 0; i < local.Len(); i++ {
-			if seen.AddRelRow(local, i) {
+			if seen.Add(local.RowTo(buf, i)) {
 				out.AppendRowOf(local, i)
 			}
 		}

@@ -156,8 +156,9 @@ func makeMemberSets(db *query.DB) map[string]*relation.TupleSet {
 	for _, name := range db.Names() {
 		r := db.MustRel(name)
 		set := relation.NewTupleSetSized(r.Width(), r.Len())
+		buf := make([]relation.Value, r.Width())
 		for i := 0; i < r.Len(); i++ {
-			set.AddRelRow(r, i)
+			set.Add(r.RowTo(buf, i))
 		}
 		member[name] = set
 	}

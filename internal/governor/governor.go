@@ -264,6 +264,43 @@ func (m *Meter) Bytes() int64 {
 	return m.bytes.Load()
 }
 
+// emitBatch is how many emitted rows a worker accumulates locally before
+// charging the meter: the emission hot path pays a local counter increment
+// and branch, with one Charge per batch.
+const emitBatch = 64
+
+// BatchEmit wraps a search worker's per-row emission callback so that, under
+// m, every emitBatch emitted rows of the given width are charged as one
+// Charge(rows, bytes, "emit"); the wrapped callback returns false once the
+// meter trips. flush charges the partial batch and must run after the
+// worker's search drains, before the finish checkpoint. Under a nil meter
+// emit is returned unwrapped, so an ungoverned search pays nothing per row.
+func BatchEmit(m *Meter, width int, emit func() bool) (metered func() bool, flush func()) {
+	if m == nil {
+		return emit, func() {}
+	}
+	rowBytes := RelBytes(1, width)
+	pend := int64(0)
+	metered = func() bool {
+		if !emit() {
+			return false
+		}
+		if pend++; pend < emitBatch {
+			return true
+		}
+		err := m.Charge(pend, pend*rowBytes, "emit")
+		pend = 0
+		return err == nil
+	}
+	flush = func() {
+		if pend > 0 {
+			m.Charge(pend, pend*rowBytes, "emit")
+			pend = 0
+		}
+	}
+	return metered, flush
+}
+
 // RelBytes approximates the memory footprint of a materialized relation:
 // rows × width × 8 bytes (relation.Value is an int64). The estimate ignores
 // slice headers and hash-set overhead by design — the budget check must

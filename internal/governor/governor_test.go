@@ -56,6 +56,54 @@ func TestRowLimitTrip(t *testing.T) {
 	}
 }
 
+// TestBatchEmit pins the shared emission batching: a nil meter charges
+// nothing, a meter sees one "emit" charge per emitBatch rows plus the
+// flushed remainder, and a trip stops the wrapped callback.
+func TestBatchEmit(t *testing.T) {
+	n := 0
+	inner := func() bool { n++; return true }
+	emit, flush := BatchEmit(nil, 3, inner)
+	for i := 0; i < 2*emitBatch; i++ {
+		if !emit() {
+			t.Fatal("nil-meter emit stopped")
+		}
+	}
+	flush()
+	if n != 2*emitBatch {
+		t.Fatalf("inner called %d times, want %d", n, 2*emitBatch)
+	}
+
+	m := New(nil, "generic", emitBatch+10, 0)
+	emit, flush = BatchEmit(m, 3, inner)
+	for i := 0; i < emitBatch; i++ {
+		if !emit() {
+			t.Fatalf("emit %d stopped within budget", i)
+		}
+	}
+	if m.Rows() != emitBatch || m.Bytes() != RelBytes(emitBatch, 3) {
+		t.Fatalf("after one batch: rows %d bytes %d", m.Rows(), m.Bytes())
+	}
+	for i := 0; i < 5; i++ {
+		emit()
+	}
+	flush()
+	flush() // an empty flush charges nothing
+	if m.Rows() != emitBatch+5 {
+		t.Fatalf("after flush: rows %d, want %d", m.Rows(), emitBatch+5)
+	}
+	stopped := false
+	for i := 0; i < emitBatch && !stopped; i++ {
+		stopped = !emit()
+	}
+	if !stopped || !errors.Is(m.Err(), ErrRowLimit) {
+		t.Fatalf("over budget: stopped=%v err=%v", stopped, m.Err())
+	}
+	var ge *Error
+	if !errors.As(m.Err(), &ge) || ge.Step != "emit" {
+		t.Fatalf("trip step: %v", m.Err())
+	}
+}
+
 func TestMemoryLimitTrip(t *testing.T) {
 	m := New(nil, "yannakakis", 0, 100)
 	if err := m.Charge(2, 96, "join-project"); err != nil {

@@ -1,27 +1,19 @@
 package relation
 
-// Mutable tuple containers for the incremental-maintenance layer. TupleMap
-// maps fixed-width tuples to int32 payloads (row positions) and — unlike
-// TupleIndex — supports deletion, so the changelog can track a live
-// relation's rows across inserts and swap-removes. TupleCounter maps
-// fixed-width tuples to signed 64-bit counts, the derivation-count algebra
-// of counting view maintenance: insertions add +1 per derivation, deletions
-// add −1, and a tuple is in the view iff its count is positive.
-//
-// Both follow the hashtab.go contract: flat []Value arenas, mixing hashes,
-// value-wise equality on collision, no string keys, no per-probe
-// allocation. Deletion uses backward-shift compaction (no tombstones), so
-// load factors stay honest under churn.
+// Mutable tuple containers for the incremental-maintenance layer, built on
+// hashtab.go's table. TupleMap maps fixed-width tuples to int32 payloads
+// (row positions) and — unlike TupleIndex — supports deletion, so the
+// changelog can track a live relation's rows across inserts and
+// swap-removes. TupleCounter maps fixed-width tuples to signed 64-bit
+// counts, the derivation-count algebra of counting view maintenance:
+// insertions add +1 per derivation, deletions add −1, and a tuple is in the
+// view iff its count is positive.
 
 // TupleMap maps width-w tuples to int32 values with O(1) expected
 // Get/Set/Delete and no per-operation allocation (amortized growth aside).
 type TupleMap struct {
-	width  int
-	slots  []int32 // entry index or emptySlot
-	hashes []uint64
-	keys   []Value
-	vals   []int32
-	n      int
+	table
+	vals []int32
 }
 
 // NewTupleMap returns an empty map over width-w tuples.
@@ -29,147 +21,52 @@ func NewTupleMap(width int) *TupleMap { return NewTupleMapSized(width, 0) }
 
 // NewTupleMapSized pre-sizes the map for about capHint tuples.
 func NewTupleMapSized(width, capHint int) *TupleMap {
-	return &TupleMap{
-		width:  width,
-		slots:  newSlots(nextPow2(capHint * 4 / 3)),
-		hashes: make([]uint64, 0, capHint),
-		keys:   make([]Value, 0, capHint*width),
-		vals:   make([]int32, 0, capHint),
-	}
-}
-
-// Width returns the tuple width.
-func (m *TupleMap) Width() int { return m.width }
-
-// Len returns the number of entries.
-func (m *TupleMap) Len() int { return m.n }
-
-func (m *TupleMap) key(e int) []Value {
-	return m.keys[e*m.width : (e+1)*m.width]
-}
-
-// findSlot returns the slot index holding row's entry, or the first empty
-// slot of its probe sequence (found=false).
-func (m *TupleMap) findSlot(row []Value, h uint64) (slot uint64, found bool) {
-	mask := uint64(len(m.slots) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		e := m.slots[i]
-		if e == emptySlot {
-			return i, false
-		}
-		if m.hashes[e] == h && rowsEqual(row, m.key(int(e))) {
-			return i, true
-		}
-	}
+	m := &TupleMap{vals: make([]int32, 0, capHint)}
+	m.init(width, capHint)
+	return m
 }
 
 // Get returns the value stored under row.
 func (m *TupleMap) Get(row []Value) (int32, bool) {
-	slot, ok := m.findSlot(row, hashRow(row))
-	if !ok {
+	e := m.find(row)
+	if e == emptySlot {
 		return 0, false
 	}
-	return m.vals[m.slots[slot]], true
+	return m.vals[e], true
 }
 
 // Set stores v under row, inserting or overwriting, and reports whether the
 // entry was new. The tuple is copied; callers may reuse the slice.
 func (m *TupleMap) Set(row []Value, v int32) bool {
-	m.maybeGrow()
-	h := hashRow(row)
-	slot, ok := m.findSlot(row, h)
-	if ok {
-		m.vals[m.slots[slot]] = v
-		return false
+	e, added := m.upsert(row)
+	if added {
+		m.vals = append(m.vals, v)
+	} else {
+		m.vals[e] = v
 	}
-	m.slots[slot] = int32(m.n)
-	m.hashes = append(m.hashes, h)
-	m.keys = append(m.keys, row...)
-	m.vals = append(m.vals, v)
-	m.n++
-	return true
+	return added
 }
 
-// Delete removes row's entry, reporting whether it existed. The slot is
-// closed by backward-shift compaction and the entry arena hole is filled by
-// the last entry, so no tombstones accumulate.
+// Delete removes row's entry, reporting whether it existed.
 func (m *TupleMap) Delete(row []Value) bool {
-	h := hashRow(row)
-	slot, ok := m.findSlot(row, h)
-	if !ok {
+	slot, e := m.lookup(row, hashRow(row))
+	if e == emptySlot {
 		return false
 	}
-	e := m.slots[slot]
-	m.shiftOut(slot)
-	last := int32(m.n - 1)
-	if e != last {
-		// Move the last entry into the hole and repoint its slot.
-		lastKey := m.key(int(last))
-		ls, _ := m.findSlot(lastKey, m.hashes[last])
-		copy(m.key(int(e)), lastKey)
-		m.hashes[e] = m.hashes[last]
-		m.vals[e] = m.vals[last]
-		m.slots[ls] = e
-	}
-	m.hashes = m.hashes[:last]
-	m.keys = m.keys[:int(last)*m.width]
+	last := m.remove(slot, e)
+	m.vals[e] = m.vals[last]
 	m.vals = m.vals[:last]
-	m.n--
 	return true
-}
-
-// shiftOut empties slot i and backward-shifts the probe chain after it so
-// every remaining entry stays reachable from its home slot.
-func (m *TupleMap) shiftOut(i uint64) {
-	mask := uint64(len(m.slots) - 1)
-	for {
-		m.slots[i] = emptySlot
-		j := i
-		for {
-			j = (j + 1) & mask
-			e := m.slots[j]
-			if e == emptySlot {
-				return
-			}
-			home := m.hashes[e] & mask
-			// The entry at j may fill i iff i lies within [home, j]
-			// cyclically — moving it cannot jump before its home slot.
-			if (j-home)&mask >= (j-i)&mask {
-				m.slots[i] = e
-				i = j
-				break
-			}
-		}
-	}
-}
-
-func (m *TupleMap) maybeGrow() {
-	if (m.n+1)*4 <= len(m.slots)*3 {
-		return
-	}
-	slots := newSlots(len(m.slots) * 2)
-	mask := uint64(len(slots) - 1)
-	for e, h := range m.hashes {
-		i := h & mask
-		for slots[i] != emptySlot {
-			i = (i + 1) & mask
-		}
-		slots[i] = int32(e)
-	}
-	m.slots = slots
 }
 
 // TupleCounter maps width-w tuples to signed counts. Adding a delta creates
 // the entry on first touch; entries whose count returns to zero are kept
-// (the arena is append-only) and skipped by Each's positive filter when the
-// caller asks for the supported view.
+// (the arena is append-only, so Len counts every tuple ever touched) and
+// skipped by Each's positive filter when the caller asks for the supported
+// view.
 type TupleCounter struct {
-	width  int
-	slots  []int32
-	hashes []uint64
-	keys   []Value
+	table
 	counts []int64
-	n      int
 }
 
 // NewTupleCounter returns an empty counter over width-w tuples.
@@ -177,75 +74,38 @@ func NewTupleCounter(width int) *TupleCounter { return NewTupleCounterSized(widt
 
 // NewTupleCounterSized pre-sizes the counter for about capHint tuples.
 func NewTupleCounterSized(width, capHint int) *TupleCounter {
-	return &TupleCounter{
-		width:  width,
-		slots:  newSlots(nextPow2(capHint * 4 / 3)),
-		hashes: make([]uint64, 0, capHint),
-		keys:   make([]Value, 0, capHint*width),
-		counts: make([]int64, 0, capHint),
-	}
-}
-
-// Width returns the tuple width.
-func (c *TupleCounter) Width() int { return c.width }
-
-// Len returns the number of distinct tuples ever touched (including counts
-// that have returned to zero).
-func (c *TupleCounter) Len() int { return c.n }
-
-func (c *TupleCounter) key(e int) []Value {
-	return c.keys[e*c.width : (e+1)*c.width]
+	c := &TupleCounter{counts: make([]int64, 0, capHint)}
+	c.init(width, capHint)
+	return c
 }
 
 // Add adds d to row's count and returns the new count. The tuple is copied
 // on first touch; callers may reuse the slice.
 func (c *TupleCounter) Add(row []Value, d int64) int64 {
-	c.maybeGrow()
-	h := hashRow(row)
-	mask := uint64(len(c.slots) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		e := c.slots[i]
-		if e == emptySlot {
-			c.slots[i] = int32(c.n)
-			c.hashes = append(c.hashes, h)
-			c.keys = append(c.keys, row...)
-			c.counts = append(c.counts, d)
-			c.n++
-			return d
-		}
-		if c.hashes[e] == h && rowsEqual(row, c.key(int(e))) {
-			c.counts[e] += d
-			return c.counts[e]
-		}
+	e, added := c.upsert(row)
+	if added {
+		c.counts = append(c.counts, d)
+		return d
 	}
+	c.counts[e] += d
+	return c.counts[e]
 }
 
 // Count returns row's current count (zero if never touched).
 func (c *TupleCounter) Count(row []Value) int64 {
-	h := hashRow(row)
-	mask := uint64(len(c.slots) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		e := c.slots[i]
-		if e == emptySlot {
-			return 0
-		}
-		if c.hashes[e] == h && rowsEqual(row, c.key(int(e))) {
-			return c.counts[e]
-		}
+	e := c.find(row)
+	if e == emptySlot {
+		return 0
 	}
+	return c.counts[e]
 }
 
 // Clear removes every entry in place, retaining table and arena capacity,
 // and returns c. It is the reuse hook for the short-lived scratch counters
 // an IVM refresh builds per batch — see internal/ivm's delta arena.
 func (c *TupleCounter) Clear() *TupleCounter {
-	for i := range c.slots {
-		c.slots[i] = emptySlot
-	}
-	c.hashes = c.hashes[:0]
-	c.keys = c.keys[:0]
+	c.clear()
 	c.counts = c.counts[:0]
-	c.n = 0
 	return c
 }
 
@@ -253,25 +113,9 @@ func (c *TupleCounter) Clear() *TupleCounter {
 // zeros), in first-touch order, stopping early if fn returns false. The
 // yielded slice is a view into the arena — copy it to retain it.
 func (c *TupleCounter) Each(fn func(row []Value, n int64) bool) {
-	for e := 0; e < c.n; e++ {
-		if !fn(c.key(e), c.counts[e]) {
+	for e, n := range c.counts {
+		if !fn(c.key(e), n) {
 			return
 		}
 	}
-}
-
-func (c *TupleCounter) maybeGrow() {
-	if (c.n+1)*4 <= len(c.slots)*3 {
-		return
-	}
-	slots := newSlots(len(c.slots) * 2)
-	mask := uint64(len(slots) - 1)
-	for e, h := range c.hashes {
-		i := h & mask
-		for slots[i] != emptySlot {
-			i = (i + 1) & mask
-		}
-		slots[i] = int32(e)
-	}
-	c.slots = slots
 }

@@ -38,30 +38,10 @@ func hashRow(row []Value) uint64 {
 	return h
 }
 
-// hashRowCols hashes the projection of row onto the given column positions,
-// without materializing the projected tuple.
-func hashRowCols(row []Value, cols []int) uint64 {
-	h := hashSeed ^ uint64(len(cols))*hashMult
-	for _, c := range cols {
-		h = mix64(h ^ (uint64(row[c]) * hashMult))
-	}
-	return h
-}
-
-// hashRelRow hashes row i of r — identical to hashRow(r.Row(i)) without
-// materializing the row: the columns are read in place, narrow codes
-// widened on the fly (the hash is over Values, so narrow and wide storage
-// of the same tuple hash identically).
-func hashRelRow(r *Relation, i int) uint64 {
-	h := hashSeed ^ uint64(r.width)*hashMult
-	for c := range r.cols {
-		h = mix64(h ^ (uint64(r.cols[c].at(i)) * hashMult))
-	}
-	return h
-}
-
 // hashRelCols hashes the projection of row i of r onto the column
-// positions cols — identical to hashRowCols(r.Row(i), cols).
+// positions cols without materializing it: the columns are read in place,
+// narrow codes widened on the fly, so the hash equals hashRow of the
+// projected tuple whatever the storage.
 func hashRelCols(r *Relation, i int, cols []int) uint64 {
 	h := hashSeed ^ uint64(len(cols))*hashMult
 	for _, c := range cols {
@@ -80,26 +60,6 @@ func rowsEqual(a, b []Value) bool {
 	return true
 }
 
-// rowEqualCols reports whether the projection of row onto cols equals key.
-func rowEqualCols(row []Value, cols []int, key []Value) bool {
-	for i, c := range cols {
-		if row[c] != key[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// relEqualRow reports whether row i of r equals key element-wise.
-func relEqualRow(r *Relation, i int, key []Value) bool {
-	for c := range r.cols {
-		if r.cols[c].at(i) != key[c] {
-			return false
-		}
-	}
-	return true
-}
-
 // relEqualCols reports whether the projection of row i of r onto cols
 // equals key.
 func relEqualCols(r *Relation, i int, cols []int, key []Value) bool {
@@ -109,6 +69,16 @@ func relEqualCols(r *Relation, i int, cols []int, key []Value) bool {
 		}
 	}
 	return true
+}
+
+// identity lists the column positions 0..w-1 — the cols argument that
+// makes a *Rel probe read a whole row.
+func identity(w int) []int {
+	cols := make([]int, w)
+	for i := range cols {
+		cols[i] = i
+	}
+	return cols
 }
 
 // nextPow2 returns the smallest power of two ≥ n (and ≥ 8).

@@ -1,48 +1,40 @@
 package relation
 
-// Open-addressed hash containers for tuples. TupleSet is a set of
-// fixed-width tuples (dedup, membership); TupleIndex maps fixed-width key
-// tuples to lists of int32 row ids (hash joins, per-atom lookups). Both
-// store tuple payloads in flat []Value arenas, key probes by the mixing
-// hashes of hash.go, and never build string keys, so the steady-state
-// per-probe allocation count is zero.
+// Open-addressed hash containers for tuples. One core, table, holds the
+// width, the slot array, each entry's hash and a flat []Value key arena
+// (entry e's tuple lives at keys[e*width:(e+1)*width]); it owns the one
+// grow/rehash, the linear-probe lookups and the insert, remove and clear
+// every container shares. The four containers embed it and add only their
+// payload:
 //
-// Width 1 is special-cased onto Go's built-in map keyed by Value directly:
-// for a single comparable machine word the runtime map is allocation-free
-// per probe and skips our probe loop entirely.
+//	TupleSet      nothing — membership and dedup
+//	TupleIndex    per-key id postings, frozen into contiguous spans
+//	TupleMap      an int32 per tuple, with deletion (counter.go)
+//	TupleCounter  a signed int64 count per tuple (counter.go)
 //
-// Zero-width tuples are legal (Boolean relations): every empty tuple is the
-// same tuple, so a TupleSet holds at most one entry.
+// Keys come in exactly two forms: a caller-built []Value, and the
+// projection of row i of a Relation onto column positions cols, read in
+// place (the *Rel methods; a full row is the identity column list). Both
+// hash and compare value-wise — never through a string — so the
+// steady-state per-probe allocation count is zero.
+//
+// The load factor stays at most 1/2: miss-heavy probes of small build
+// sides (a handful of keys probed by thousands of mostly-absent rows) stop
+// after a short run. Zero-width tuples are legal (Boolean relations): every
+// empty tuple is the same tuple, so a table holds at most one entry.
 
-// TupleSet is a set of width-w tuples with O(1) expected Add/Contains and
-// no per-operation allocation (amortized growth aside).
-type TupleSet struct {
-	width int
-	m1    map[Value]struct{} // width==1 fast path; nil otherwise
-
-	// Open-addressed table: slots hold entry indices into hashes/keys,
-	// emptySlot marks a free slot. Entry e's tuple lives at
-	// keys[e*width : (e+1)*width].
-	slots  []int32
-	hashes []uint64
+type table struct {
+	width  int
+	slots  []int32  // entry index, or emptySlot
+	hashes []uint64 // per entry; len(hashes) is the entry count
 	keys   []Value
-	n      int
 }
 
-// NewTupleSet returns an empty set of width-w tuples.
-func NewTupleSet(width int) *TupleSet { return NewTupleSetSized(width, 0) }
-
-// NewTupleSetSized pre-sizes the set for about capHint tuples.
-func NewTupleSetSized(width, capHint int) *TupleSet {
-	s := &TupleSet{width: width}
-	if width == 1 {
-		s.m1 = make(map[Value]struct{}, capHint)
-		return s
-	}
-	s.slots = newSlots(nextPow2(capHint * 4 / 3))
-	s.hashes = make([]uint64, 0, capHint)
-	s.keys = make([]Value, 0, capHint*width)
-	return s
+func (t *table) init(width, capHint int) {
+	t.width = width
+	t.slots = newSlots(nextPow2(2 * capHint))
+	t.hashes = make([]uint64, 0, capHint)
+	t.keys = make([]Value, 0, capHint*width)
 }
 
 func newSlots(n int) []int32 {
@@ -54,239 +46,190 @@ func newSlots(n int) []int32 {
 }
 
 // Width returns the tuple width.
-func (s *TupleSet) Width() int { return s.width }
+func (t *table) Width() int { return t.width }
 
 // Len returns the number of distinct tuples.
-func (s *TupleSet) Len() int {
-	if s.m1 != nil {
-		return len(s.m1)
-	}
-	return s.n
+func (t *table) Len() int { return len(t.hashes) }
+
+func (t *table) key(e int) []Value {
+	return t.keys[e*t.width : (e+1)*t.width]
 }
 
-// Row returns the i-th inserted tuple in insertion order. It is only
-// available on widths ≠ 1 (the map fast path does not retain order) and
-// exists for containers layered on top of the set.
-func (s *TupleSet) row(i int) []Value {
-	return s.keys[i*s.width : (i+1)*s.width]
-}
-
-// Add inserts the tuple if absent and reports whether it was added. The
-// tuple is copied; callers may reuse the slice.
-func (s *TupleSet) Add(row []Value) bool {
-	if s.m1 != nil {
-		if _, ok := s.m1[row[0]]; ok {
-			return false
-		}
-		s.m1[row[0]] = struct{}{}
-		return true
-	}
-	s.maybeGrow()
-	h := hashRow(row)
-	mask := uint64(len(s.slots) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		e := s.slots[i]
-		if e == emptySlot {
-			s.slots[i] = int32(s.n)
-			s.hashes = append(s.hashes, h)
-			s.keys = append(s.keys, row...)
-			s.n++
-			return true
-		}
-		if s.hashes[e] == h && rowsEqual(row, s.row(int(e))) {
-			return false
-		}
+// grow doubles the slot array before an insert would push the load factor
+// past 1/2. The check inlines into every insert path; rehash does not.
+func (t *table) grow() {
+	if (len(t.hashes)+1)*2 > len(t.slots) {
+		t.rehash()
 	}
 }
 
-// AddCols inserts the projection of row onto the column positions cols
-// (which must have length Width) without materializing it, reporting
-// whether it was new.
-func (s *TupleSet) AddCols(row []Value, cols []int) bool {
-	if s.m1 != nil {
-		v := row[cols[0]]
-		if _, ok := s.m1[v]; ok {
-			return false
-		}
-		s.m1[v] = struct{}{}
-		return true
-	}
-	s.maybeGrow()
-	h := hashRowCols(row, cols)
-	mask := uint64(len(s.slots) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		e := s.slots[i]
-		if e == emptySlot {
-			s.slots[i] = int32(s.n)
-			s.hashes = append(s.hashes, h)
-			for _, c := range cols {
-				s.keys = append(s.keys, row[c])
-			}
-			s.n++
-			return true
-		}
-		if s.hashes[e] == h && rowEqualCols(row, cols, s.row(int(e))) {
-			return false
-		}
-	}
-}
-
-// AddRel inserts the projection of r's row i onto the column positions
-// cols, reading the columns in place — the columnar counterpart of
-// AddCols. It reports whether the tuple was new.
-func (s *TupleSet) AddRel(r *Relation, i int, cols []int) bool {
-	if s.m1 != nil {
-		v := r.cols[cols[0]].at(i)
-		if _, ok := s.m1[v]; ok {
-			return false
-		}
-		s.m1[v] = struct{}{}
-		return true
-	}
-	s.maybeGrow()
-	h := hashRelCols(r, i, cols)
-	mask := uint64(len(s.slots) - 1)
-	for j := h & mask; ; j = (j + 1) & mask {
-		e := s.slots[j]
-		if e == emptySlot {
-			s.slots[j] = int32(s.n)
-			s.hashes = append(s.hashes, h)
-			for _, c := range cols {
-				s.keys = append(s.keys, r.cols[c].at(i))
-			}
-			s.n++
-			return true
-		}
-		if s.hashes[e] == h && relEqualCols(r, i, cols, s.row(int(e))) {
-			return false
-		}
-	}
-}
-
-// AddRelRow inserts r's full row i (width must equal the set's width),
-// reading the columns in place.
-func (s *TupleSet) AddRelRow(r *Relation, i int) bool {
-	if s.m1 != nil {
-		v := r.cols[0].at(i)
-		if _, ok := s.m1[v]; ok {
-			return false
-		}
-		s.m1[v] = struct{}{}
-		return true
-	}
-	s.maybeGrow()
-	h := hashRelRow(r, i)
-	mask := uint64(len(s.slots) - 1)
-	for j := h & mask; ; j = (j + 1) & mask {
-		e := s.slots[j]
-		if e == emptySlot {
-			s.slots[j] = int32(s.n)
-			s.hashes = append(s.hashes, h)
-			for c := range r.cols {
-				s.keys = append(s.keys, r.cols[c].at(i))
-			}
-			s.n++
-			return true
-		}
-		if s.hashes[e] == h && relEqualRow(r, i, s.row(int(e))) {
-			return false
-		}
-	}
-}
-
-// ContainsRel reports membership of the projection of r's row i onto cols,
-// reading the columns in place.
-func (s *TupleSet) ContainsRel(r *Relation, i int, cols []int) bool {
-	if s.m1 != nil {
-		_, ok := s.m1[r.cols[cols[0]].at(i)]
-		return ok
-	}
-	h := hashRelCols(r, i, cols)
-	mask := uint64(len(s.slots) - 1)
-	for j := h & mask; ; j = (j + 1) & mask {
-		e := s.slots[j]
-		if e == emptySlot {
-			return false
-		}
-		if s.hashes[e] == h && relEqualCols(r, i, cols, s.row(int(e))) {
-			return true
-		}
-	}
-}
-
-// ContainsRelRow reports membership of r's full row i.
-func (s *TupleSet) ContainsRelRow(r *Relation, i int) bool {
-	if s.m1 != nil {
-		_, ok := s.m1[r.cols[0].at(i)]
-		return ok
-	}
-	h := hashRelRow(r, i)
-	mask := uint64(len(s.slots) - 1)
-	for j := h & mask; ; j = (j + 1) & mask {
-		e := s.slots[j]
-		if e == emptySlot {
-			return false
-		}
-		if s.hashes[e] == h && relEqualRow(r, i, s.row(int(e))) {
-			return true
-		}
-	}
-}
-
-// Contains reports membership of the tuple.
-func (s *TupleSet) Contains(row []Value) bool {
-	if s.m1 != nil {
-		_, ok := s.m1[row[0]]
-		return ok
-	}
-	h := hashRow(row)
-	mask := uint64(len(s.slots) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		e := s.slots[i]
-		if e == emptySlot {
-			return false
-		}
-		if s.hashes[e] == h && rowsEqual(row, s.row(int(e))) {
-			return true
-		}
-	}
-}
-
-// ContainsCols reports membership of the projection of row onto cols,
-// without materializing it.
-func (s *TupleSet) ContainsCols(row []Value, cols []int) bool {
-	if s.m1 != nil {
-		_, ok := s.m1[row[cols[0]]]
-		return ok
-	}
-	h := hashRowCols(row, cols)
-	mask := uint64(len(s.slots) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		e := s.slots[i]
-		if e == emptySlot {
-			return false
-		}
-		if s.hashes[e] == h && rowEqualCols(row, cols, s.row(int(e))) {
-			return true
-		}
-	}
-}
-
-// maybeGrow doubles the slot table when the load factor reaches 3/4.
-func (s *TupleSet) maybeGrow() {
-	if (s.n+1)*4 <= len(s.slots)*3 {
-		return
-	}
-	slots := newSlots(len(s.slots) * 2)
+func (t *table) rehash() {
+	slots := newSlots(len(t.slots) * 2)
 	mask := uint64(len(slots) - 1)
-	for e, h := range s.hashes {
+	for e, h := range t.hashes {
 		i := h & mask
 		for slots[i] != emptySlot {
 			i = (i + 1) & mask
 		}
 		slots[i] = int32(e)
 	}
-	s.slots = slots
+	t.slots = slots
+}
+
+// lookup returns the slot holding row's entry and the entry, or the first
+// free slot of row's probe sequence and emptySlot.
+func (t *table) lookup(row []Value, h uint64) (uint64, int32) {
+	mask := uint64(len(t.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		e := t.slots[i]
+		if e == emptySlot || t.hashes[e] == h && rowsEqual(row, t.key(int(e))) {
+			return i, e
+		}
+	}
+}
+
+// lookupRel is lookup keyed by the projection of r's row i onto cols.
+func (t *table) lookupRel(r *Relation, i int, cols []int, h uint64) (uint64, int32) {
+	mask := uint64(len(t.slots) - 1)
+	for j := h & mask; ; j = (j + 1) & mask {
+		e := t.slots[j]
+		if e == emptySlot || t.hashes[e] == h && relEqualCols(r, i, cols, t.key(int(e))) {
+			return j, e
+		}
+	}
+}
+
+func (t *table) find(row []Value) int32 {
+	_, e := t.lookup(row, hashRow(row))
+	return e
+}
+
+func (t *table) findRel(r *Relation, i int, cols []int) int32 {
+	_, e := t.lookupRel(r, i, cols, hashRelCols(r, i, cols))
+	return e
+}
+
+// upsert returns row's entry, creating it (the tuple is copied) if absent;
+// added reports whether it was created.
+func (t *table) upsert(row []Value) (e int32, added bool) {
+	t.grow()
+	h := hashRow(row)
+	slot, e := t.lookup(row, h)
+	if e != emptySlot {
+		return e, false
+	}
+	t.keys = append(t.keys, row...)
+	return t.insert(slot, h), true
+}
+
+// upsertRel is upsert keyed by the projection of r's row i onto cols.
+func (t *table) upsertRel(r *Relation, i int, cols []int) (e int32, added bool) {
+	t.grow()
+	h := hashRelCols(r, i, cols)
+	slot, e := t.lookupRel(r, i, cols, h)
+	if e != emptySlot {
+		return e, false
+	}
+	for _, c := range cols {
+		t.keys = append(t.keys, r.cols[c].at(i))
+	}
+	return t.insert(slot, h), true
+}
+
+// insert claims the free slot for a new entry whose key was just appended.
+func (t *table) insert(slot, h uint64) int32 {
+	e := int32(len(t.hashes))
+	t.slots[slot] = e
+	t.hashes = append(t.hashes, h)
+	return e
+}
+
+// remove deletes entry e, found at slot. The slot is closed by
+// backward-shift compaction (no tombstones, so the load factor stays honest
+// under churn) and the last entry moves into e's arena hole. It returns the
+// index of that last entry so the caller moves its payload the same way.
+func (t *table) remove(slot uint64, e int32) (last int32) {
+	t.shiftOut(slot)
+	last = int32(len(t.hashes) - 1)
+	if e != last {
+		ls, _ := t.lookup(t.key(int(last)), t.hashes[last])
+		copy(t.key(int(e)), t.key(int(last)))
+		t.hashes[e] = t.hashes[last]
+		t.slots[ls] = e
+	}
+	t.hashes = t.hashes[:last]
+	t.keys = t.keys[:int(last)*t.width]
+	return last
+}
+
+// shiftOut empties slot i and backward-shifts the probe chain after it so
+// every remaining entry stays reachable from its home slot.
+func (t *table) shiftOut(i uint64) {
+	mask := uint64(len(t.slots) - 1)
+	for {
+		t.slots[i] = emptySlot
+		j := i
+		for {
+			j = (j + 1) & mask
+			e := t.slots[j]
+			if e == emptySlot {
+				return
+			}
+			// The entry at j may fill i iff i lies within [home, j]
+			// cyclically — moving it cannot jump before its home slot.
+			if home := t.hashes[e] & mask; (j-home)&mask >= (j-i)&mask {
+				t.slots[i] = e
+				i = j
+				break
+			}
+		}
+	}
+}
+
+// clear removes every entry in place, keeping slot and arena capacity.
+func (t *table) clear() {
+	for i := range t.slots {
+		t.slots[i] = emptySlot
+	}
+	t.hashes = t.hashes[:0]
+	t.keys = t.keys[:0]
+}
+
+// TupleSet is a set of width-w tuples with O(1) expected Add/Contains and
+// no per-operation allocation (amortized growth aside).
+type TupleSet struct{ table }
+
+// NewTupleSet returns an empty set of width-w tuples.
+func NewTupleSet(width int) *TupleSet { return NewTupleSetSized(width, 0) }
+
+// NewTupleSetSized pre-sizes the set for about capHint tuples.
+func NewTupleSetSized(width, capHint int) *TupleSet {
+	s := &TupleSet{}
+	s.init(width, capHint)
+	return s
+}
+
+// Add inserts the tuple if absent and reports whether it was added. The
+// tuple is copied; callers may reuse the slice.
+func (s *TupleSet) Add(row []Value) bool {
+	_, added := s.upsert(row)
+	return added
+}
+
+// AddRel inserts the projection of r's row i onto the column positions
+// cols, reading the columns in place, and reports whether it was new.
+func (s *TupleSet) AddRel(r *Relation, i int, cols []int) bool {
+	_, added := s.upsertRel(r, i, cols)
+	return added
+}
+
+// Contains reports membership of the tuple.
+func (s *TupleSet) Contains(row []Value) bool { return s.find(row) != emptySlot }
+
+// ContainsRel reports membership of the projection of r's row i onto cols,
+// reading the columns in place.
+func (s *TupleSet) ContainsRel(r *Relation, i int, cols []int) bool {
+	return s.findRel(r, i, cols) != emptySlot
 }
 
 // TupleIndex maps width-w key tuples to the list of int32 ids added under
@@ -294,12 +237,7 @@ func (s *TupleSet) maybeGrow() {
 // Freeze (or let IDs do it) to lay every id list out contiguously; after
 // that IDs returns a subslice view — no copying, no allocation per lookup.
 type TupleIndex struct {
-	width int
-	m1    map[Value]int32 // width==1 fast path: key value → entry index
-
-	slots  []int32
-	hashes []uint64
-	keys   []Value
+	table
 
 	// Per-entry posting chains while building: head/tail index into the
 	// rows/next arenas, count tracks chain length for Freeze.
@@ -316,22 +254,15 @@ func NewTupleIndex(width int) *TupleIndex { return NewTupleIndexSized(width, 0) 
 
 // NewTupleIndexSized pre-sizes the index for about capHint total ids.
 func NewTupleIndexSized(width, capHint int) *TupleIndex {
-	ix := &TupleIndex{width: width}
-	if width == 1 {
-		ix.m1 = make(map[Value]int32, capHint)
-	} else {
-		ix.slots = newSlots(nextPow2(capHint * 4 / 3))
-	}
+	ix := &TupleIndex{}
+	ix.init(width, capHint)
 	ix.rows = make([]int32, 0, capHint)
 	ix.next = make([]int32, 0, capHint)
 	return ix
 }
 
 // Distinct returns the number of distinct keys.
-func (ix *TupleIndex) Distinct() int { return len(ix.count) }
-
-// Width returns the key width.
-func (ix *TupleIndex) Width() int { return ix.width }
+func (ix *TupleIndex) Distinct() int { return len(ix.hashes) }
 
 // Len returns the total number of ids added.
 func (ix *TupleIndex) Len() int {
@@ -341,184 +272,33 @@ func (ix *TupleIndex) Len() int {
 	return len(ix.rows)
 }
 
-// find returns the entry index for key, or -1.
-func (ix *TupleIndex) find(key []Value) int32 {
-	if ix.m1 != nil {
-		e, ok := ix.m1[key[0]]
-		if !ok {
-			return -1
-		}
-		return e
-	}
-	h := hashRow(key)
-	mask := uint64(len(ix.slots) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		e := ix.slots[i]
-		if e == emptySlot {
-			return -1
-		}
-		if ix.hashes[e] == h && rowsEqual(key, ix.key(int(e))) {
-			return e
-		}
-	}
-}
-
-// findCols is find for the projection of row onto cols.
-func (ix *TupleIndex) findCols(row []Value, cols []int) int32 {
-	if ix.m1 != nil {
-		e, ok := ix.m1[row[cols[0]]]
-		if !ok {
-			return -1
-		}
-		return e
-	}
-	h := hashRowCols(row, cols)
-	mask := uint64(len(ix.slots) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		e := ix.slots[i]
-		if e == emptySlot {
-			return -1
-		}
-		if ix.hashes[e] == h && rowEqualCols(row, cols, ix.key(int(e))) {
-			return e
-		}
-	}
-}
-
-// findRel is find for the projection of r's row i onto cols, reading the
-// columns in place.
-func (ix *TupleIndex) findRel(r *Relation, i int, cols []int) int32 {
-	if ix.m1 != nil {
-		e, ok := ix.m1[r.cols[cols[0]].at(i)]
-		if !ok {
-			return -1
-		}
-		return e
-	}
-	h := hashRelCols(r, i, cols)
-	mask := uint64(len(ix.slots) - 1)
-	for j := h & mask; ; j = (j + 1) & mask {
-		e := ix.slots[j]
-		if e == emptySlot {
-			return -1
-		}
-		if ix.hashes[e] == h && relEqualCols(r, i, cols, ix.key(int(e))) {
-			return e
-		}
-	}
-}
-
-func (ix *TupleIndex) key(e int) []Value {
-	return ix.keys[e*ix.width : (e+1)*ix.width]
-}
-
-// findOrAdd returns the entry for key, creating it if absent.
-func (ix *TupleIndex) findOrAdd(key []Value) int32 {
-	if ix.m1 != nil {
-		if e, ok := ix.m1[key[0]]; ok {
-			return e
-		}
-		e := int32(len(ix.head))
-		ix.m1[key[0]] = e
-		ix.addEntry()
-		return e
-	}
-	ix.maybeGrow()
-	h := hashRow(key)
-	mask := uint64(len(ix.slots) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		e := ix.slots[i]
-		if e == emptySlot {
-			e = int32(len(ix.head))
-			ix.slots[i] = e
-			ix.hashes = append(ix.hashes, h)
-			ix.keys = append(ix.keys, key...)
-			ix.addEntry()
-			return e
-		}
-		if ix.hashes[e] == h && rowsEqual(key, ix.key(int(e))) {
-			return e
-		}
-	}
-}
-
-func (ix *TupleIndex) addEntry() {
-	ix.head = append(ix.head, -1)
-	ix.tail = append(ix.tail, -1)
-	ix.count = append(ix.count, 0)
-}
-
-func (ix *TupleIndex) maybeGrow() {
-	if (len(ix.head)+1)*4 <= len(ix.slots)*3 {
-		return
-	}
-	slots := newSlots(len(ix.slots) * 2)
-	mask := uint64(len(slots) - 1)
-	for e, h := range ix.hashes {
-		i := h & mask
-		for slots[i] != emptySlot {
-			i = (i + 1) & mask
-		}
-		slots[i] = int32(e)
-	}
-	ix.slots = slots
-}
-
 // Add records id under key. The key is copied; callers may reuse the
 // slice. Add panics after Freeze.
 func (ix *TupleIndex) Add(key []Value, id int32) {
 	if ix.frozen {
 		panic("relation: TupleIndex.Add after Freeze")
 	}
-	e := ix.findOrAdd(key)
-	p := int32(len(ix.rows))
-	ix.rows = append(ix.rows, id)
-	ix.next = append(ix.next, -1)
-	if ix.tail[e] >= 0 {
-		ix.next[ix.tail[e]] = p
-	} else {
-		ix.head[e] = p
-	}
-	ix.tail[e] = p
-	ix.count[e]++
+	e, _ := ix.upsert(key)
+	ix.post(e, id)
 }
 
 // AddRel records id under the projection of r's row i onto cols, reading
-// the columns in place — the columnar counterpart of Add. It panics after
-// Freeze.
+// the columns in place. It panics after Freeze.
 func (ix *TupleIndex) AddRel(r *Relation, i int, cols []int, id int32) {
 	if ix.frozen {
 		panic("relation: TupleIndex.AddRel after Freeze")
 	}
-	var e int32
-	if ix.m1 != nil {
-		v := r.cols[cols[0]].at(i)
-		var ok bool
-		if e, ok = ix.m1[v]; !ok {
-			e = int32(len(ix.head))
-			ix.m1[v] = e
-			ix.addEntry()
-		}
-	} else {
-		ix.maybeGrow()
-		h := hashRelCols(r, i, cols)
-		mask := uint64(len(ix.slots) - 1)
-		for j := h & mask; ; j = (j + 1) & mask {
-			e = ix.slots[j]
-			if e == emptySlot {
-				e = int32(len(ix.head))
-				ix.slots[j] = e
-				ix.hashes = append(ix.hashes, h)
-				for _, c := range cols {
-					ix.keys = append(ix.keys, r.cols[c].at(i))
-				}
-				ix.addEntry()
-				break
-			}
-			if ix.hashes[e] == h && relEqualCols(r, i, cols, ix.key(int(e))) {
-				break
-			}
-		}
+	e, _ := ix.upsertRel(r, i, cols)
+	ix.post(e, id)
+}
+
+// post appends id to entry e's posting chain, opening the chain when e is
+// a new entry.
+func (ix *TupleIndex) post(e, id int32) {
+	if int(e) == len(ix.head) {
+		ix.head = append(ix.head, -1)
+		ix.tail = append(ix.tail, -1)
+		ix.count = append(ix.count, 0)
 	}
 	p := int32(len(ix.rows))
 	ix.rows = append(ix.rows, id)
@@ -552,7 +332,7 @@ func (ix *TupleIndex) Freeze() {
 		}
 	}
 	// The chain arenas are dead weight once spans exist.
-	ix.rows, ix.next, ix.head, ix.tail = nil, nil, nil, nil
+	ix.rows, ix.next, ix.head, ix.tail, ix.count = nil, nil, nil, nil, nil
 }
 
 func (ix *TupleIndex) span(e int32) []int32 {
@@ -565,27 +345,14 @@ func (ix *TupleIndex) span(e int32) []int32 {
 // IDs returns the ids added under key, in insertion order, as a view that
 // must not be modified. It freezes the index on first use.
 func (ix *TupleIndex) IDs(key []Value) []int32 {
-	if !ix.frozen {
-		ix.Freeze()
-	}
+	ix.Freeze()
 	return ix.span(ix.find(key))
-}
-
-// IDsCols is IDs keyed by the projection of row onto cols, without
-// materializing the key.
-func (ix *TupleIndex) IDsCols(row []Value, cols []int) []int32 {
-	if !ix.frozen {
-		ix.Freeze()
-	}
-	return ix.span(ix.findCols(row, cols))
 }
 
 // IDsRel is IDs keyed by the projection of r's row i onto cols, reading
 // the columns in place.
 func (ix *TupleIndex) IDsRel(r *Relation, i int, cols []int) []int32 {
-	if !ix.frozen {
-		ix.Freeze()
-	}
+	ix.Freeze()
 	return ix.span(ix.findRel(r, i, cols))
 }
 

@@ -88,24 +88,36 @@ func TestTupleSetMatchesStringMap(t *testing.T) {
 func TestTupleSetCols(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	pool := valuePools[2]
-	// Project width-4 rows onto columns (3, 1) and check the set matches
-	// inserting the materialized projections.
-	cols := []int{3, 1}
-	set := NewTupleSet(2)
-	ref := make(map[string]bool)
+	// Project width-4 rows onto columns (3, 1) in place and check the set
+	// matches inserting the materialized projections; the identity column
+	// list keys whole rows the same way Add does.
+	r := New(Schema{0, 1, 2, 3})
 	for i := 0; i < 500; i++ {
-		row := randRow(rng, pool, 4)
+		r.Append(randRow(rng, pool, 4)...)
+	}
+	cols := []int{3, 1}
+	set, rows, all := NewTupleSet(2), NewTupleSet(4), identity(4)
+	ref, refRows := make(map[string]bool), make(map[string]bool)
+	for i := 0; i < r.Len(); i++ {
+		row := r.Row(i)
 		proj := []Value{row[3], row[1]}
 		k := refKey(proj)
-		if added := set.AddCols(row, cols); added == ref[k] {
-			t.Fatalf("AddCols(%v) = %v, reference says new=%v", row, added, !ref[k])
+		if added := set.AddRel(r, i, cols); added == ref[k] {
+			t.Fatalf("AddRel(%v) = %v, reference says new=%v", row, added, !ref[k])
 		}
 		ref[k] = true
-		if !set.ContainsCols(row, cols) {
-			t.Fatalf("ContainsCols false right after AddCols (%v)", row)
+		if !set.ContainsRel(r, i, cols) {
+			t.Fatalf("ContainsRel false right after AddRel (%v)", row)
 		}
 		if !set.Contains(proj) {
-			t.Fatalf("Contains(%v) false after AddCols of the same projection", proj)
+			t.Fatalf("Contains(%v) false after AddRel of the same projection", proj)
+		}
+		if added := rows.AddRel(r, i, all); added == refRows[refKey(row)] {
+			t.Fatalf("AddRel(identity) of %v = %v, reference says new=%v", row, added, !refRows[refKey(row)])
+		}
+		refRows[refKey(row)] = true
+		if rows.Add(row) || !rows.ContainsRel(r, i, all) {
+			t.Fatalf("whole-row forms disagree on %v", row)
 		}
 	}
 	if set.Len() != len(ref) {
@@ -206,17 +218,10 @@ func TestIndexMatchesReference(t *testing.T) {
 				if got, want := ix.Lookup(key), ref[refKey(key)]; !equalIDs(got, want) {
 					t.Fatalf("Lookup(%v) = %v, reference %v", key, got, want)
 				}
-				n := 0
-				ix.Each(key, func(row []Value) bool { n++; return true })
-				if n != len(want(ref, key)) {
-					t.Fatalf("Each(%v) visited %d rows, reference %d", key, n, len(want(ref, key)))
-				}
 			}
 		})
 	}
 }
-
-func want(ref map[string][]int32, key []Value) []int32 { return ref[refKey(key)] }
 
 func equalIDs(a, b []int32) bool {
 	if len(a) != len(b) {

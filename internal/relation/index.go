@@ -6,9 +6,7 @@ package relation
 // frozen TupleIndex, so lookups return contiguous id spans without copying
 // and probes never allocate.
 type Index struct {
-	rel  *Relation
-	cols []int // column positions forming the key
-	tix  *TupleIndex
+	tix *TupleIndex
 }
 
 // NewIndex builds an index of r on the given attributes (all must occur in
@@ -31,7 +29,7 @@ func newIndexOn(r *Relation, cols []int) *Index {
 		tix.AddRel(r, i, cols, int32(i))
 	}
 	tix.Freeze()
-	return &Index{rel: r, cols: cols, tix: tix}
+	return &Index{tix: tix}
 }
 
 // Lookup returns the row numbers whose key columns equal key, in row
@@ -46,23 +44,6 @@ func (ix *Index) Lookup(key []Value) []int32 {
 // materializing the key tuple.
 func (ix *Index) lookupRel(p *Relation, i int, cols []int) []int32 {
 	return ix.tix.IDsRel(p, i, cols)
-}
-
-// Each calls fn with every row matching key, stopping early if fn returns
-// false. The yielded slice is a shared buffer overwritten between calls —
-// fn must not retain it. Probes after the first perform no allocation;
-// callers in hot loops should prefer Lookup and direct At reads.
-func (ix *Index) Each(key []Value, fn func(row []Value) bool) {
-	ids := ix.tix.IDs(key)
-	if len(ids) == 0 {
-		return
-	}
-	buf := make([]Value, ix.rel.width)
-	for _, ri := range ids {
-		if !fn(ix.rel.RowTo(buf, int(ri))) {
-			return
-		}
-	}
 }
 
 // Distinct returns the number of distinct keys in the index.

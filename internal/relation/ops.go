@@ -234,9 +234,10 @@ func Difference(r, s *Relation) *Relation {
 	for i := 0; i < s.n; i++ {
 		set.AddRel(s, i, perm)
 	}
+	all := identity(r.width)
 	sel := make([]int32, 0, r.n)
 	for i := 0; i < r.n; i++ {
-		if !set.ContainsRelRow(r, i) {
+		if !set.ContainsRel(r, i, all) {
 			sel = append(sel, int32(i))
 		}
 	}

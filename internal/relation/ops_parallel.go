@@ -13,9 +13,10 @@ import "pyquery/internal/parallel"
 // order.
 //
 // The shard id is taken from the TOP bits of the same splitmix64 tuple hash
-// (hash.go) the containers key on; the containers' open-addressed tables
-// use the LOW bits for slots, so restricting a shard to one top-bit class
-// leaves its slot distribution uniform.
+// (hash.go) the containers key on; their shared open-addressed table
+// (hashtab.go) uses the LOW bits for slots at every key width, so
+// restricting a shard to one top-bit class leaves its slot distribution
+// uniform.
 
 // parMinRows gates the partitioned paths: below this many total rows the
 // goroutine + partitioning overhead outweighs the win and the serial kernel

@@ -188,14 +188,6 @@ func TestIndexLookupAndEach(t *testing.T) {
 	if ix.Distinct() != 2 {
 		t.Fatalf("Distinct = %d, want 2", ix.Distinct())
 	}
-	count := 0
-	ix.Each([]Value{1}, func(row []Value) bool {
-		count++
-		return count < 1 // stop after first
-	})
-	if count != 1 {
-		t.Fatalf("Each did not stop early: %d visits", count)
-	}
 }
 
 func TestIndexOnMissingAttrPanics(t *testing.T) {

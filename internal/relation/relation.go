@@ -336,9 +336,10 @@ func (r *Relation) Dedup() *Relation {
 		return r
 	}
 	seen := NewTupleSetSized(r.width, r.n)
+	all := identity(r.width)
 	sel := make([]int32, 0, r.n)
 	for i := 0; i < r.n; i++ {
-		if seen.AddRelRow(r, i) {
+		if seen.AddRel(r, i, all) {
 			sel = append(sel, int32(i))
 		}
 	}
@@ -357,8 +358,9 @@ func (r *Relation) Contains(tuple []Value) bool {
 	if r.width == 0 {
 		return r.n > 0
 	}
+	all := identity(r.width)
 	for i := 0; i < r.n; i++ {
-		if relEqualRow(r, i, tuple) {
+		if relEqualCols(r, i, all, tuple) {
 			return true
 		}
 	}
@@ -407,8 +409,9 @@ func EqualSet(r, s *Relation) bool {
 		perm[i] = s.Pos(a)
 	}
 	rk := NewTupleSetSized(r.width, r.n)
+	all := identity(r.width)
 	for i := 0; i < r.n; i++ {
-		rk.AddRelRow(r, i)
+		rk.AddRel(r, i, all)
 	}
 	sk := NewTupleSetSized(r.width, s.n)
 	for i := 0; i < s.n; i++ {

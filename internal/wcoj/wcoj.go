@@ -326,10 +326,6 @@ func (cu *cursor) rec(d int, emit func() bool) bool {
 	return ok
 }
 
-// emitBatch is how many emitted rows a worker accumulates locally before
-// charging the meter (the backtracker's batching constant).
-const emitBatch = 64
-
 // collector builds the emission callback: project the assignment through
 // the head layout, dedup, append, and (under a meter) charge rows in
 // batches. flush charges the partial batch and must run before the finish
@@ -337,7 +333,7 @@ const emitBatch = 64
 func (c *Compiled) collector(cu *cursor, out *relation.Relation, seen *relation.TupleSet, m *governor.Meter) (emit func() bool, flush func()) {
 	tuple := make([]relation.Value, len(c.head))
 	copy(tuple, c.consts)
-	emit = func() bool {
+	return governor.BatchEmit(m, len(c.head), func() bool {
 		for i, d := range c.depthOf {
 			if d >= 0 {
 				tuple[i] = cu.assign[d]
@@ -347,32 +343,7 @@ func (c *Compiled) collector(cu *cursor, out *relation.Relation, seen *relation.
 			out.Append(tuple...)
 		}
 		return true
-	}
-	if m == nil {
-		return emit, func() {}
-	}
-	rowBytes := governor.RelBytes(1, len(c.head))
-	pend := int64(0)
-	inner := emit
-	emit = func() bool {
-		if !inner() {
-			return false
-		}
-		pend++
-		if pend < emitBatch {
-			return true
-		}
-		err := m.Charge(pend, pend*rowBytes, "emit")
-		pend = 0
-		return err == nil
-	}
-	flush = func() {
-		if pend > 0 {
-			m.Charge(pend, pend*rowBytes, "emit")
-			pend = 0
-		}
-	}
-	return emit, flush
+	})
 }
 
 // topValues enumerates the matched values of the top-level variable (the
@@ -501,12 +472,13 @@ func (c *Compiled) Exec(ctx context.Context, _ []relation.Value, m *governor.Met
 		return nil, err
 	}
 	seen := relation.NewTupleSet(len(c.head))
+	buf := make([]relation.Value, len(c.head))
 	for _, local := range outs {
 		if local == nil {
 			continue
 		}
 		for i := 0; i < local.Len(); i++ {
-			if seen.AddRelRow(local, i) {
+			if seen.Add(local.RowTo(buf, i)) {
 				out.AppendRowOf(local, i)
 			}
 		}
