@@ -6,6 +6,7 @@ package pyquery_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -673,6 +674,34 @@ func BenchmarkMicro_YannakakisPath(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := runBool(yannakakis.Compile(q, db, serialYan)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMicro_ColorCodingPathNeq times one execution of a compiled
+// Theorem 2 program on the benchmark's path-neq shape, E(x,y), E(y,z),
+// x≠z over 100 nodes and 250 edges: Algorithm 1's colored merges and
+// Algorithm 2's passes for every hash function of the family, plus the
+// union of their answers. Compilation is outside the loop.
+func BenchmarkMicro_ColorCodingPathNeq(b *testing.B) {
+	db := pyquery.NewDB()
+	db.Set("E", randEdges(rand.New(rand.NewSource(1)), 250, 100))
+	q := &pyquery.CQ{
+		Head: []pyquery.Term{pyquery.V(0), pyquery.V(2)},
+		Atoms: []pyquery.Atom{
+			pyquery.NewAtom("E", pyquery.V(0), pyquery.V(1)),
+			pyquery.NewAtom("E", pyquery.V(1), pyquery.V(2)),
+		},
+		Ineqs: []pyquery.Ineq{pyquery.NeqVars(0, 2)},
+	}
+	pr, err := core.Compile(q, db, serialCore)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := pr.Exec(context.Background(), nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

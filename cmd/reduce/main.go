@@ -17,11 +17,11 @@ import (
 
 	"pyquery"
 	"pyquery/internal/boolcirc"
-	"pyquery/internal/core"
 	"pyquery/internal/eval"
 	"pyquery/internal/graph"
 	"pyquery/internal/order"
 	"pyquery/internal/reductions"
+	"pyquery/internal/yannakakis"
 )
 
 func main() {
@@ -68,7 +68,7 @@ func main() {
 	case "hampath":
 		q, db := reductions.HamPathToIneqCQ(g)
 		fmt.Printf("graph: %v\nquery: %d atoms, %d inequalities (acyclic-with-≠: %v)\n",
-			g, len(q.Atoms), len(q.Ineqs), core.IsAcyclicWithIneqs(q))
+			g, len(q.Atoms), len(q.Ineqs), yannakakis.IsAcyclic(q))
 		got, err := pyquery.EvaluateBool(q, db)
 		check(err)
 		_, want := g.HamiltonianPath()

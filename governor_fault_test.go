@@ -29,6 +29,8 @@ type faultCase struct {
 	engine pyquery.Engine
 	q      *pyquery.CQ
 	db     *pyquery.DB
+	// run, when set, replaces Prepare+Exec as the governed operation.
+	run func(pyquery.Options) (*pyquery.Relation, error)
 }
 
 // faultCases covers all six engine classes, mirroring the routing in
@@ -57,19 +59,40 @@ func faultCases() []faultCase {
 		Ineqs: []pyquery.Ineq{pyquery.NeqVars(0, 1)},
 	}
 	return []faultCase{
-		{"yannakakis", pyquery.EngineYannakakis, pathQuery(), db},
-		{"colorcoding", pyquery.EngineColorCoding, ineq, db},
-		{"comparisons", pyquery.EngineComparisons, cmp, db},
-		{"generic", pyquery.EngineGeneric, tri, tridb},
-		{"decomp", pyquery.EngineDecomp, workload.CycleQuery(4), tridb},
-		{"wcoj", pyquery.EngineWCOJ, workload.TriangleQuery(), workload.HubGraphDB(200, 5)},
+		{"yannakakis", pyquery.EngineYannakakis, pathQuery(), db, nil},
+		{"colorcoding", pyquery.EngineColorCoding, ineq, db, nil},
+		{"comparisons", pyquery.EngineComparisons, cmp, db, nil},
+		{"generic", pyquery.EngineGeneric, tri, tridb, nil},
+		{"decomp", pyquery.EngineDecomp, workload.CycleQuery(4), tridb, nil},
+		{"wcoj", pyquery.EngineWCOJ, workload.TriangleQuery(), workload.HubGraphDB(200, 5), nil},
 	}
+}
+
+// formulaFaultCase drives the ∧/∨ formula path through its free function:
+// a disjunction spanning the chain's ends (colored) beside a conjunct
+// pushed into R1.
+func formulaFaultCase() faultCase {
+	db := pathDB(rand.New(rand.NewSource(43)))
+	phi := pyquery.IneqAnd{Subs: []pyquery.IneqFormula{
+		pyquery.IneqOr{Subs: []pyquery.IneqFormula{
+			pyquery.IneqAtom{Ineq: pyquery.NeqVars(0, 3)},
+			pyquery.IneqAtom{Ineq: pyquery.NeqConst(0, 2)},
+		}},
+		pyquery.IneqAtom{Ineq: pyquery.NeqVars(1, 2)},
+	}}
+	return faultCase{name: "colorcoding-formula", engine: pyquery.EngineColorCoding, db: db,
+		run: func(opts pyquery.Options) (*pyquery.Relation, error) {
+			return pyquery.EvaluateIneqFormula(pathQuery(), phi, db, opts)
+		}}
 }
 
 // prepareExec is one full governed operation: a fresh Prepare (compile-time
 // checkpoints included — decomp materializes its bags under a compile
-// meter) followed by one Exec.
+// meter) followed by one Exec, or the case's own run.
 func prepareExec(tc faultCase, opts pyquery.Options) (*pyquery.Relation, error) {
+	if tc.run != nil {
+		return tc.run(opts)
+	}
 	p, err := pyquery.Prepare(tc.q, tc.db, opts)
 	if err != nil {
 		return nil, err
@@ -100,7 +123,7 @@ func sweepPoints(total int64, max int) []int64 {
 }
 
 // TestFaultSweepAllEngines is the harness proper: engine × checkpoint ×
-// parallelism {1,N}. Each (engine, par) first runs clean for the expected
+// parallelism {1,N}, plus the formula path's free function. Each (engine, par) first runs clean for the expected
 // answer, then runs under a counting-only injector to learn how many
 // checkpoints the operation crosses, then re-runs with a forced ErrRowLimit
 // trip at each sampled checkpoint — asserting the typed failure — and
@@ -108,7 +131,7 @@ func sweepPoints(total int64, max int) []int64 {
 func TestFaultSweepAllEngines(t *testing.T) {
 	leakcheck.Check(t)
 	defer faults.Uninstall()
-	for _, tc := range faultCases() {
+	for _, tc := range append(faultCases(), formulaFaultCase()) {
 		for _, par := range []int{1, 3} {
 			opts := pyquery.Options{Parallelism: par}
 			faults.Uninstall()
@@ -258,6 +281,50 @@ func TestGovernorTimeoutTyped(t *testing.T) {
 		}
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("%s: ErrTimeout does not match context.DeadlineExceeded: %v", tc.name, err)
+		}
+	}
+}
+
+// TestGovernorColorCodingFreeFunctions: EvaluateStats and
+// EvaluateIneqFormula execute under the same governed prelude as
+// Prepared.Exec, so MaxRows and Timeout trip them typed on a path-neq
+// instance (400 nodes, 1 000 edges) whose evaluation takes far longer than
+// the deadline and materializes far more than the row budget.
+func TestGovernorColorCodingFreeFunctions(t *testing.T) {
+	leakcheck.Check(t)
+	db := pyquery.NewDB()
+	db.Set("E", randEdges(rand.New(rand.NewSource(5)), 1000, 400))
+	pure := &pyquery.CQ{
+		Head: []pyquery.Term{pyquery.V(0), pyquery.V(2)},
+		Atoms: []pyquery.Atom{
+			pyquery.NewAtom("E", pyquery.V(0), pyquery.V(1)),
+			pyquery.NewAtom("E", pyquery.V(1), pyquery.V(2)),
+		},
+	}
+	neq := pure.Clone()
+	neq.Ineqs = []pyquery.Ineq{pyquery.NeqVars(0, 2)}
+	phi := pyquery.IneqAtom{Ineq: pyquery.NeqVars(0, 2)}
+	runs := map[string]func(pyquery.Options) error{
+		"EvaluateStats": func(o pyquery.Options) error {
+			_, _, err := pyquery.EvaluateStats(neq, db, o)
+			return err
+		},
+		"EvaluateIneqFormula": func(o pyquery.Options) error {
+			_, err := pyquery.EvaluateIneqFormula(pure, phi, db, o)
+			return err
+		},
+	}
+	for name, run := range runs {
+		err := run(pyquery.Options{MaxRows: 10})
+		var le *pyquery.LimitError
+		if !errors.Is(err, pyquery.ErrRowLimit) || !errors.As(err, &le) || le.Engine != "colorcoding" {
+			t.Fatalf("%s MaxRows=10: got %v, want a colorcoding ErrRowLimit", name, err)
+		}
+		if err := run(pyquery.Options{Timeout: 2 * time.Millisecond}); !errors.Is(err, pyquery.ErrTimeout) {
+			t.Fatalf("%s Timeout=2ms: got %v, want ErrTimeout", name, err)
+		}
+		if err := run(pyquery.Options{}); err != nil {
+			t.Fatalf("%s ungoverned: %v", name, err)
 		}
 	}
 }

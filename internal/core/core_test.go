@@ -6,6 +6,7 @@ import (
 
 	"pyquery/internal/query"
 	"pyquery/internal/relation"
+	"pyquery/internal/yannakakis"
 )
 
 // orgDB is the paper's first Section 5 example: EP(employee, project).
@@ -36,7 +37,7 @@ func multiProjectQuery() *query.CQ {
 
 func TestPaperExampleEmployeesOnTwoProjects(t *testing.T) {
 	q := multiProjectQuery()
-	if !IsAcyclicWithIneqs(q) {
+	if !yannakakis.IsAcyclic(q) {
 		t.Fatal("the employee-project query is acyclic with inequalities")
 	}
 	got, err := run(q, orgDB(), Options{})
@@ -74,7 +75,7 @@ func TestPaperExampleStudentsOutsideDept(t *testing.T) {
 		},
 		Ineqs: []query.Ineq{query.NeqVars(1, 3)},
 	}
-	if !IsAcyclicWithIneqs(q) {
+	if !yannakakis.IsAcyclic(q) {
 		t.Fatal("registrar query is acyclic with inequalities")
 	}
 	got, err := run(q, registrarDB(), Options{})

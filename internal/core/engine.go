@@ -1,34 +1,46 @@
 // Package core implements the paper's algorithmic contribution (Theorem 2):
 // fixed-parameter tractable evaluation of acyclic conjunctive queries with
-// inequality (≠) atoms.
+// inequality (≠) atoms, and Section 5's extension to any ∧/∨ formula φ of
+// ≠ atoms (parameter q). Both run through one pipeline: Compile lifts the
+// query's ≠ atoms into the conjunction φ, CompileFormula takes φ as given.
 //
-// The structure follows Section 5 exactly:
+// The structure follows Section 5:
 //
-//   - The inequality atoms are partitioned into I₂ — x≠c atoms and x≠y atoms
-//     whose variables share a hyperedge, which are pushed into the per-atom
-//     selections σ_Fⱼ — and I₁, the x≠y atoms whose variables never co-occur.
-//   - V₁ is the set of variables in I₁ and k = |V₁|. For a hash function
-//     h: D → {1,…,k}, every relation Sⱼ is extended with hashed color columns
-//     x′ = h(x), and Algorithm 1 runs a bottom-up pass over a join tree,
-//     merging each node into its parent with σ_F(Pᵤ ⋈ π_{Yⱼ∩Yᵤ}(Pⱼ)) where F
-//     checks color-distinctness of I₁ pairs. The attribute sets Yⱼ =
-//     UⱼU′ⱼW′ⱼ (Lemma 1) route each color column from its subtree up to the
-//     lowest common ancestor of its inequality partners.
-//   - Algorithm 2 (top-down semijoins, then bottom-up join-project) computes
-//     Q_h(d) output-sensitively, and Q(d) = ⋃_h Q_h(d) over a hash family:
-//     Monte-Carlo trials (⌈c·eᵏ⌉), a certified exact k-perfect family, or a
-//     whp-perfect family of the paper's 2^{O(k)}·log|D| size shape.
+//   - One rule handles every top-level conjunct of φ. A conjunct whose
+//     variables all occur in one relational atom (x≠c, or x≠y sharing a
+//     hyperedge: the paper's I₂) is pushed into the selections σ_Fⱼ of the
+//     atoms holding them. Every other conjunct is colored: V₁ collects its
+//     variables, its constants join the hash range, and k = |V₁| + #color
+//     constants. Options.NoPushdown colors every conjunct.
+//   - For a hash function h: D → {1,…,k}, every relation Sⱼ is extended
+//     with hashed color columns x′ = h(x), and Algorithm 1 runs a bottom-up
+//     pass over a join tree, merging each node into its parent with
+//     σ_F(Pᵤ ⋈ π_{Yⱼ∩Yᵤ}(Pⱼ)). The Y-sets Yⱼ = UⱼU′ⱼW′ⱼ (Lemma 1) carry a
+//     variable's color column up to the lowest node where all of a
+//     conjunct's columns meet, and F checks each colored conjunct there,
+//     on colors, exactly once: a lone x≠y is the paper's I₁ pair check, a
+//     disjunction is checked at the lowest common ancestor of its
+//     variables.
+//   - Algorithm 2 (top-down semijoins, then bottom-up join-project) runs on
+//     the merged relations as a yannakakis.Tree, and Q(d) = ⋃_h Q_h(d) over
+//     a hash family: Monte-Carlo trials (⌈c·eᵏ⌉), a certified exact
+//     k-perfect family, or a whp-perfect family of the paper's
+//     2^{O(k)}·log|D| size shape.
 package core
 
 import (
+	"context"
 	"errors"
+	"slices"
 
 	"pyquery/internal/colorcoding"
 	"pyquery/internal/eval"
+	"pyquery/internal/governor"
 	"pyquery/internal/hypergraph"
 	"pyquery/internal/plan"
 	"pyquery/internal/query"
 	"pyquery/internal/relation"
+	"pyquery/internal/yannakakis"
 )
 
 // ErrCyclic is returned when the relational-atom hypergraph is cyclic.
@@ -63,15 +75,12 @@ type Options struct {
 	Strategy Strategy
 	// C is the Monte-Carlo confidence multiplier (default 3).
 	C float64
-	// Delta is the whp-family failure bound (default 1e-9).
-	Delta float64
 	// Seed drives every randomized choice; runs are reproducible.
 	Seed int64
-	// NoPushdown disables the I₂ selection pushdown (ablation A1): every
-	// x≠y inequality is treated as I₁ and checked through color columns,
-	// and x≠c atoms are checked on colors too, with the constants added to
-	// the hash range — the paper's q-parameter extension. k grows, so the
-	// exponential factor grows; answers are identical.
+	// NoPushdown disables the selection pushdown (ablation A1): every
+	// conjunct of φ is colored, its constants joining the hash range — the
+	// paper's q-parameter extension. k grows, so the exponential factor
+	// grows; answers are identical.
 	NoPushdown bool
 	// Parallelism is the worker count. The independent hash-function trials
 	// of the color-coding loop run across workers; leftover budget flows
@@ -81,83 +90,33 @@ type Options struct {
 	Parallelism int
 }
 
-func (o Options) withDefaults() Options {
-	if o.C == 0 {
-		o.C = 3
-	}
-	if o.Delta == 0 {
-		o.Delta = 1e-9
-	}
-	return o
-}
+// whpDelta is the whp-perfect family's failure bound.
+const whpDelta = 1e-9
 
 // Stats reports what a run did.
 type Stats struct {
-	K          int // |V₁| (plus inequality constants under NoPushdown)
-	I1, I2     int // partition sizes
+	K          int // |V₁| plus the colored conjuncts' constants
+	I1, I2     int // colored and pushed-down conjuncts
 	FamilySize int // hash functions tried
 	Successes  int // hash functions with nonempty Q_h
 }
 
 // Partition splits the query's inequality atoms into I₁ (variables never
 // co-occurring in a relational atom) and I₂ (the rest, including all x≠c
-// atoms), and returns V₁ sorted. Duplicate and reversed pairs are
-// deduplicated; an x≠x atom yields ok=false (the query is unsatisfiable).
+// atoms), and returns V₁ sorted. It is the conjunct rule of Compile applied
+// to the conjunction of q.Ineqs: duplicate and reversed pairs collapse, and
+// an x≠x atom yields ok=false (the query is unsatisfiable).
 func Partition(q *query.CQ) (i1, i2 []query.Ineq, v1 []query.Var, ok bool) {
-	coOccur := make(map[[2]query.Var]bool)
-	for _, a := range q.Atoms {
-		vars := a.Vars()
-		for i := 0; i < len(vars); i++ {
-			for j := 0; j < len(vars); j++ {
-				coOccur[[2]query.Var{vars[i], vars[j]}] = true
-			}
-		}
+	pushed, colored, ok := split(q, FromConjunction(q.Ineqs), false)
+	for _, c := range pushed {
+		i2 = append(i2, c.f.(IneqAtom).Ineq)
 	}
-	seenPair := make(map[[2]query.Var]bool)
-	seenConst := make(map[query.Ineq]bool)
-	v1set := make(map[query.Var]bool)
-	for _, iq := range q.Ineqs {
-		if !iq.YIsVar {
-			key := query.Ineq{X: iq.X, C: iq.C}
-			if !seenConst[key] {
-				seenConst[key] = true
-				i2 = append(i2, iq)
-			}
-			continue
-		}
-		if iq.X == iq.Y {
-			return nil, nil, nil, false
-		}
-		a, b := iq.X, iq.Y
-		if a > b {
-			a, b = b, a
-		}
-		pair := [2]query.Var{a, b}
-		if seenPair[pair] {
-			continue
-		}
-		seenPair[pair] = true
-		if coOccur[pair] {
-			i2 = append(i2, query.NeqVars(a, b))
-		} else {
-			i1 = append(i1, query.NeqVars(a, b))
-			v1set[a] = true
-			v1set[b] = true
-		}
+	for _, c := range colored {
+		i1 = append(i1, c.f.(IneqAtom).Ineq)
+		v1 = append(v1, c.vars...)
 	}
-	for v := range v1set {
-		v1 = append(v1, v)
-	}
-	sortVarSlice(v1)
-	return i1, i2, v1, true
-}
-
-func sortVarSlice(vs []query.Var) {
-	for i := 1; i < len(vs); i++ {
-		for j := i; j > 0 && vs[j] < vs[j-1]; j-- {
-			vs[j], vs[j-1] = vs[j-1], vs[j]
-		}
-	}
+	slices.Sort(v1)
+	return i1, i2, slices.Compact(v1), ok
 }
 
 // prepared holds everything independent of the hash function. After
@@ -167,16 +126,17 @@ type prepared struct {
 	q    *query.CQ
 	opts Options
 
-	i1 []query.Ineq
-	i2 []query.Ineq
-	v1 []query.Var
-	// constColors lists the distinct constants that must be separated by
-	// the hash range under NoPushdown (empty otherwise).
-	constColors []relation.Value
-	k           int
+	// colored are the conjuncts checked on colors; pushed counts the
+	// conjuncts applied as selections.
+	colored []conjunct
+	pushed  int
+	// hashed is V₁, the variables of the colored conjuncts: each gets a
+	// color column.
+	hashed map[query.Var]bool
+	k      int
 
 	tree *hypergraph.Forest
-	// base[j] = S_j with the I₂ selections applied (schema: var attrs).
+	// base[j] = S_j with the pushed conjuncts applied (schema: var attrs).
 	base []*relation.Relation
 	// uj[j] = the distinct variables of atom j.
 	uj [][]query.Var
@@ -184,12 +144,12 @@ type prepared struct {
 	yset []relation.Schema
 	// occursIn[j] = variables occurring anywhere in T[j].
 	occursIn []map[query.Var]bool
+	headVars map[query.Var]bool
 
-	headAttrs relation.Schema
-	hOff      int32 // hashed-attribute offset: hashed(x) = Attr(hOff + x)
+	hOff int32 // hashed-attribute offset: hashed(x) = Attr(hOff + x)
 
 	// relevant is the domain the hash family must separate: every value in
-	// a V₁-variable column, plus inequality constants under NoPushdown.
+	// a V₁-variable column, plus the colored conjuncts' constants.
 	relevant []relation.Value
 
 	trivialEmpty bool
@@ -199,20 +159,13 @@ func (p *prepared) hattr(v query.Var) relation.Attr {
 	return relation.Attr(p.hOff + int32(v))
 }
 
-// IsAcyclicWithIneqs reports whether the query is an acyclic query with
-// inequalities in the paper's sense: the hypergraph of the relational atoms
-// alone (inequality edges excluded!) is α-acyclic.
-func IsAcyclicWithIneqs(q *query.CQ) bool {
-	h, _ := plan.AtomHypergraph(q)
-	_, ok := h.JoinForest()
-	return ok
-}
-
-func prepare(q *query.CQ, db *query.DB, opts Options) (*prepared, error) {
+// prepare compiles q under the inequality formula φ (the query's own ≠
+// atoms are read only through φ).
+func prepare(q *query.CQ, phi IneqFormula, db *query.DB, opts Options) (*prepared, error) {
 	if err := q.Validate(db); err != nil {
 		return nil, err
 	}
-	p := &prepared{q: q, opts: opts}
+	p := &prepared{q: q, opts: opts, headVars: make(map[query.Var]bool)}
 	// Ground comparisons appear as unsatisfiability markers from BindHead;
 	// anything with a variable is genuine Theorem 3 territory.
 	for _, c := range q.Cmps {
@@ -224,73 +177,45 @@ func prepare(q *query.CQ, db *query.DB, opts Options) (*prepared, error) {
 			return p, nil
 		}
 	}
-
-	i1, i2, v1, ok := Partition(q)
-	if !ok {
-		p.trivialEmpty = true
-		return p, nil
-	}
-	if opts.NoPushdown {
-		// Reclassify every x≠y pair as I₁ and route x≠c through colors.
-		i1 = i1[:0:0]
-		v1set := make(map[query.Var]bool)
-		constSet := make(map[relation.Value]bool)
-		var i2c []query.Ineq
-		seen := make(map[[2]query.Var]bool)
-		for _, iq := range q.Ineqs {
-			if iq.YIsVar {
-				if iq.X == iq.Y {
-					p.trivialEmpty = true
-					return p, nil
-				}
-				a, b := iq.X, iq.Y
-				if a > b {
-					a, b = b, a
-				}
-				if seen[[2]query.Var{a, b}] {
-					continue
-				}
-				seen[[2]query.Var{a, b}] = true
-				i1 = append(i1, query.NeqVars(a, b))
-				v1set[a] = true
-				v1set[b] = true
-			} else {
-				i2c = append(i2c, iq)
-				v1set[iq.X] = true
-				constSet[iq.C] = true
-			}
-		}
-		i2 = i2c
-		v1 = v1[:0:0]
-		for v := range v1set {
-			v1 = append(v1, v)
-		}
-		sortVarSlice(v1)
-		for c := range constSet {
-			p.constColors = append(p.constColors, c)
-		}
-		sortValues(p.constColors)
-	}
-	p.i1, p.i2, p.v1 = i1, i2, v1
-	p.k = len(v1) + len(p.constColors)
-
-	// Hashed-attribute offset above every variable id.
-	var maxVar query.Var
-	for _, v := range q.Vars() {
-		if v > maxVar {
-			maxVar = v
-		}
-	}
-	p.hOff = int32(maxVar) + 1
-
-	// Join tree over the relational atoms.
 	h, _ := plan.AtomHypergraph(q)
 	forest, acyclic := h.JoinForest()
 	if !acyclic {
 		return nil, ErrCyclic
 	}
+	pushed, colored, ok := split(q, phi, opts.NoPushdown)
+	if !ok {
+		p.trivialEmpty = true
+		return p, nil
+	}
+	p.colored, p.pushed = colored, len(pushed)
+	for _, v := range q.HeadVars() {
+		p.headVars[v] = true
+	}
+
+	// Hashed-attribute offset above every variable id.
+	var maxVar query.Var
+	for _, v := range q.Vars() {
+		maxVar = max(maxVar, v)
+	}
+	p.hOff = int32(maxVar) + 1
+
+	// The colored conjuncts' variables get color columns and their
+	// constants join the hash range: k counts both.
+	p.hashed = make(map[query.Var]bool)
+	relevantSet := make(map[relation.Value]bool)
+	for _, c := range colored {
+		for _, v := range c.vars {
+			p.hashed[v] = true
+		}
+		for _, k := range c.consts {
+			relevantSet[k] = true
+		}
+	}
+	p.k = len(p.hashed) + len(relevantSet) // only constants so far
+
 	if len(q.Atoms) == 0 {
-		// Constant-head query with no atoms (and hence no inequalities).
+		// Constant-head query with no atoms (φ is then ground, decided by
+		// split).
 		hg := hypergraph.New(0, [][]int{{}})
 		f, _ := hg.JoinForest()
 		p.tree = f.JoinTree()
@@ -298,33 +223,32 @@ func prepare(q *query.CQ, db *query.DB, opts Options) (*prepared, error) {
 		p.uj = [][]query.Var{nil}
 		p.yset = []relation.Schema{nil}
 		p.occursIn = []map[query.Var]bool{{}}
-		p.finishHead()
 		return p, nil
 	}
 
-	// Reduce atoms and apply the I₂ pushdown.
-	inV1 := make(map[query.Var]bool, len(v1))
-	for _, v := range v1 {
-		inV1[v] = true
-	}
+	// Reduce atoms and push each pushed conjunct into every atom holding
+	// its variables.
 	p.base = make([]*relation.Relation, len(q.Atoms))
 	p.uj = make([][]query.Var, len(q.Atoms))
 	inputs := make([]plan.Input, len(q.Atoms))
-	relevantSet := make(map[relation.Value]bool)
 	for j, a := range q.Atoms {
 		s, vars := eval.ReduceAtom(a, db)
-		p.uj[j] = vars
-		if !opts.NoPushdown {
-			s = p.pushdownI2(s, vars)
+		var sels []test
+		for _, c := range pushed {
+			if holdsAll(vars, c.vars) {
+				sels = append(sels, bind(c.f, func(v query.Var) int { return s.Pos(relation.Attr(v)) },
+					func(k relation.Value) relation.Value { return k }))
+			}
 		}
+		s = filter(s, sels)
 		if s.Empty() {
 			p.trivialEmpty = true
 			return p, nil
 		}
-		p.base[j] = s
+		p.base[j], p.uj[j] = s, vars
 		inputs[j] = plan.Input{Label: a.Rel, Rows: s.Len(), Vars: vars}
 		for _, v := range vars {
-			if inV1[v] {
+			if p.hashed[v] {
 				col := s.Pos(relation.Attr(v))
 				for r := 0; r < s.Len(); r++ {
 					relevantSet[s.At(col, r)] = true
@@ -337,14 +261,11 @@ func prepare(q *query.CQ, db *query.DB, opts Options) (*prepared, error) {
 	// orientation of the spanning forest is a valid join tree, so Lemma 1's
 	// Y-sets below adapt to whichever root minimizes the merge work.
 	p.tree = plan.OrderForest(forest, inputs).JoinTree()
-	for _, c := range p.constColors {
-		relevantSet[c] = true
-	}
 	p.relevant = make([]relation.Value, 0, len(relevantSet))
 	for v := range relevantSet {
 		p.relevant = append(p.relevant, v)
 	}
-	sortValues(p.relevant)
+	slices.Sort(p.relevant)
 
 	// Subtree variable sets and the Y_j attribute sets of Lemma 1.
 	backTo := q.BodyVars()
@@ -357,77 +278,26 @@ func prepare(q *query.CQ, db *query.DB, opts Options) (*prepared, error) {
 		}
 		p.occursIn[j] = m
 	}
-	p.computeYSets(inV1)
-	p.finishHead()
+	p.computeYSets()
 	return p, nil
-}
-
-func (p *prepared) finishHead() {
-	seen := make(map[relation.Attr]bool)
-	for _, t := range p.q.Head {
-		if t.IsVar {
-			a := relation.Attr(t.Var)
-			if !seen[a] {
-				seen[a] = true
-				p.headAttrs = append(p.headAttrs, a)
-			}
-		}
-	}
-}
-
-// pushdownI2 applies the I₂ inequalities relevant to an atom's variable set
-// directly to its reduced relation — the "(iii) and (iv)" selections of the
-// paper's S_j construction.
-func (p *prepared) pushdownI2(s *relation.Relation, vars []query.Var) *relation.Relation {
-	has := make(map[query.Var]int, len(vars))
-	for _, v := range vars {
-		has[v] = s.Pos(relation.Attr(v))
-	}
-	type pairCheck struct{ a, b int }
-	type constCheck struct {
-		pos int
-		c   relation.Value
-	}
-	var pairs []pairCheck
-	var consts []constCheck
-	for _, iq := range p.i2 {
-		if iq.YIsVar {
-			pa, aok := has[iq.X]
-			pb, bok := has[iq.Y]
-			if aok && bok {
-				pairs = append(pairs, pairCheck{pa, pb})
-			}
-		} else if pos, ok := has[iq.X]; ok {
-			consts = append(consts, constCheck{pos, iq.C})
-		}
-	}
-	if len(pairs) == 0 && len(consts) == 0 {
-		return s
-	}
-	return relation.Select(s, func(row []relation.Value) bool {
-		for _, pc := range pairs {
-			if row[pc.a] == row[pc.b] {
-				return false
-			}
-		}
-		for _, cc := range consts {
-			if row[cc.pos] == cc.c {
-				return false
-			}
-		}
-		return true
-	})
 }
 
 // computeYSets fills yset[j] = U_j ∪ U′_j ∪ W′_j per the paper: W_j holds
 // the V₁ variables that occur strictly below j (in exactly one child
-// subtree) and still have an unmet I₁ partner outside that subtree, so
-// their color columns must be carried through j.
-func (p *prepared) computeYSets(inV1 map[query.Var]bool) {
+// subtree) and still have a partner — another variable of a colored
+// conjunct they share — outside that subtree, so their color columns must
+// be carried through j up to the lowest node where the conjunct's columns
+// meet.
+func (p *prepared) computeYSets() {
 	partners := make(map[query.Var][]query.Var)
-	for _, iq := range p.i1 {
-		partners[iq.X] = append(partners[iq.X], iq.Y)
-		partners[iq.Y] = append(partners[iq.Y], iq.X)
+	for _, c := range p.colored {
+		for _, x := range c.vars {
+			for _, y := range c.vars {
+				if x != y {
+					partners[x] = append(partners[x], y)
+				}
+			}
+		}
 	}
 	p.yset = make([]relation.Schema, len(p.base))
 	for j := range p.base {
@@ -436,18 +306,14 @@ func (p *prepared) computeYSets(inV1 map[query.Var]bool) {
 			y = append(y, relation.Attr(v))
 		}
 		for _, v := range p.uj[j] {
-			if inV1[v] {
+			if p.hashed[v] {
 				y = append(y, p.hattr(v))
 			}
-		}
-		inU := make(map[query.Var]bool, len(p.uj[j]))
-		for _, v := range p.uj[j] {
-			inU[v] = true
 		}
 		// W_j: x ∈ V₁ − U_j occurring in T[j] with a partner outside the
 		// child subtree holding x.
 		for x := range p.occursIn[j] {
-			if inU[x] || !inV1[x] {
+			if slices.Contains(p.uj[j], x) || !p.hashed[x] {
 				continue
 			}
 			// Find the unique child subtree containing x.
@@ -458,50 +324,31 @@ func (p *prepared) computeYSets(inV1 map[query.Var]bool) {
 					break
 				}
 			}
-			if childSet == nil {
-				continue // defensive: x ∈ U_j handled above
-			}
-			needed := false
 			for _, l := range partners[x] {
 				if !childSet[l] {
-					needed = true
+					y = append(y, p.hattr(x))
 					break
 				}
-			}
-			if needed {
-				y = append(y, p.hattr(x))
 			}
 		}
 		p.yset[j] = y
 	}
 }
 
-func sortValues(vs []relation.Value) {
-	for i := 1; i < len(vs); i++ {
-		for j := i; j > 0 && vs[j] < vs[j-1]; j-- {
-			vs[j], vs[j-1] = vs[j-1], vs[j]
-		}
-	}
-}
-
 // --- per-hash-function passes -------------------------------------------
 
 // extend builds S′_j: S_j plus one color column per V₁ variable of the
-// atom, and (under NoPushdown) applies the color checks for x≠c atoms.
+// atom. An atom with no such variable is S_j itself, shared read-only.
 func (p *prepared) extend(j int, h colorcoding.Func) *relation.Relation {
 	s := p.base[j]
 	var hashedVars []query.Var
-	inV1 := make(map[query.Var]bool, len(p.v1))
-	for _, v := range p.v1 {
-		inV1[v] = true
-	}
 	for _, v := range p.uj[j] {
-		if inV1[v] {
+		if p.hashed[v] {
 			hashedVars = append(hashedVars, v)
 		}
 	}
-	if len(hashedVars) == 0 && len(p.constColors) == 0 {
-		return s.Clone()
+	if len(hashedVars) == 0 {
+		return s
 	}
 	schema := s.Schema().Clone()
 	srcPos := make([]int, len(hashedVars))
@@ -510,69 +357,44 @@ func (p *prepared) extend(j int, h colorcoding.Func) *relation.Relation {
 		srcPos[i] = s.Pos(relation.Attr(v))
 	}
 	out := relation.New(schema)
-
-	// NoPushdown: color checks for x≠c atoms over this atom's columns.
-	type constCheck struct {
-		pos   int
-		color int
-	}
-	var ccs []constCheck
-	if p.opts.NoPushdown {
-		for _, iq := range p.i2 {
-			if iq.YIsVar {
-				continue
-			}
-			if pos := s.Pos(relation.Attr(iq.X)); pos >= 0 {
-				ccs = append(ccs, constCheck{pos, h.Color(iq.C)})
-			}
-		}
-	}
-
 	row := make([]relation.Value, len(schema))
 	for r := 0; r < s.Len(); r++ {
-		skip := false
-		for _, cc := range ccs {
-			if h.Color(s.At(cc.pos, r)) == cc.color {
-				skip = true
-				break
-			}
-		}
-		if skip {
-			continue
-		}
 		s.RowTo(row[:s.Width()], r)
-		for i := range hashedVars {
-			row[s.Width()+i] = relation.Value(h.Color(s.At(srcPos[i], r)))
+		for i, c := range srcPos {
+			row[s.Width()+i] = relation.Value(h.Color(s.At(c, r)))
 		}
 		out.Append(row...)
 	}
 	return out
 }
 
-// filterI1 drops rows whose colors collide on any I₁ pair with both hashed
-// attributes present in the relation — the σ_F of Algorithm 1, applied
-// whenever both columns have met.
-func (p *prepared) filterI1(r *relation.Relation) *relation.Relation {
-	type pairCheck struct{ a, b int }
-	var pairs []pairCheck
-	for _, iq := range p.i1 {
-		pa := r.Pos(p.hattr(iq.X))
-		pb := r.Pos(p.hattr(iq.Y))
-		if pa >= 0 && pb >= 0 {
-			pairs = append(pairs, pairCheck{pa, pb})
+// check is the σ_F of Algorithm 1: it drops the rows of r that falsify, on
+// colors, a colored conjunct whose color columns all meet in r for the
+// first time — present in r but in neither input of the merge that built
+// it (left, right; nil for an extended leaf). Every relation already
+// satisfies the conjuncts whose columns it carries, so each conjunct is
+// checked exactly once per row path, at the lowest node where its
+// variables meet: a lone x≠y there is the paper's I₁ pair check.
+func (p *prepared) check(r *relation.Relation, h colorcoding.Func, left, right relation.Schema) *relation.Relation {
+	var tests []test
+	for _, c := range p.colored {
+		if p.colorsIn(r.Schema(), c) && !p.colorsIn(left, c) && !p.colorsIn(right, c) {
+			tests = append(tests, bind(c.f, func(v query.Var) int { return r.Pos(p.hattr(v)) },
+				func(k relation.Value) relation.Value { return relation.Value(h.Color(k)) }))
 		}
 	}
-	if len(pairs) == 0 {
-		return r
-	}
-	return relation.Select(r, func(row []relation.Value) bool {
-		for _, pc := range pairs {
-			if row[pc.a] == row[pc.b] {
-				return false
-			}
+	return filter(r, tests)
+}
+
+// colorsIn reports whether s carries the color column of every variable
+// of c.
+func (p *prepared) colorsIn(s relation.Schema, c conjunct) bool {
+	for _, v := range c.vars {
+		if !s.Has(p.hattr(v)) {
+			return false
 		}
-		return true
-	})
+	}
+	return true
 }
 
 // runHash executes Algorithm 1 (and, when needOutput, Algorithm 2) for one
@@ -581,19 +403,18 @@ func (p *prepared) filterI1(r *relation.Relation) *relation.Relation {
 // this trial may spend in the partitioned relational kernel (the driver
 // splits the Parallelism budget across trials; ≤ 1 = serial ops); it is a
 // parameter, not prepared state, so concurrent executions of one compiled
-// Program can run trials under different budgets.
-func (p *prepared) runHash(h colorcoding.Func, needOutput bool, inner int) (*relation.Relation, bool) {
+// Program can run trials under different budgets. ctx and m are the
+// execution's: a trip or cancellation cuts the trial short with a false
+// result, and the caller reads the typed error from them.
+func (p *prepared) runHash(ctx context.Context, m *governor.Meter, h colorcoding.Func, needOutput bool, inner int) (*relation.Relation, bool) {
 	rels := make([]*relation.Relation, len(p.base))
 	for j := range p.base {
-		rels[j] = p.filterI1(p.extend(j, h))
+		rels[j] = p.check(p.extend(j, h), h, nil, nil)
 		if rels[j].Empty() {
 			return nil, false
 		}
 	}
-
-	if inner < 1 {
-		inner = 1
-	}
+	inner = max(inner, 1)
 
 	// Algorithm 1: bottom-up merges with color filtering.
 	for _, j := range p.tree.Order {
@@ -601,8 +422,11 @@ func (p *prepared) runHash(h colorcoding.Func, needOutput bool, inner int) (*rel
 		if u < 0 {
 			continue
 		}
+		if governor.Check(ctx, m, "merge") != nil {
+			return nil, false
+		}
 		proj := relation.Project(rels[j], rels[j].Schema().Intersect(p.yset[u]))
-		rels[u] = p.filterI1(relation.NaturalJoinPar(rels[u], proj, inner))
+		rels[u] = p.check(relation.NaturalJoinPar(rels[u], proj, inner), h, rels[u].Schema(), proj.Schema())
 		if rels[u].Empty() {
 			return nil, false
 		}
@@ -611,31 +435,11 @@ func (p *prepared) runHash(h colorcoding.Func, needOutput bool, inner int) (*rel
 		return nil, true
 	}
 
-	// Algorithm 2, step 1: top-down semijoins (full consistency).
-	for i := len(p.tree.Order) - 1; i >= 0; i-- {
-		j := p.tree.Order[i]
-		u := p.tree.Parent[j]
-		if u < 0 {
-			continue
-		}
-		rels[j] = relation.SemijoinPar(rels[j], rels[u], inner)
-	}
-
-	// Algorithm 2, step 2: bottom-up join-project carrying head attributes.
-	for _, j := range p.tree.Order {
-		u := p.tree.Parent[j]
-		if u < 0 {
-			continue
-		}
-		proj := rels[j].Schema().Intersect(rels[u].Schema())
-		for _, a := range p.headAttrs {
-			if rels[j].Schema().Has(a) && !proj.Has(a) {
-				proj = append(proj, a)
-			}
-		}
-		rels[u] = relation.NaturalJoinPar(rels[u], relation.Project(rels[j], proj), inner)
-	}
-	root := p.tree.Roots[0]
-	pstar := relation.Project(rels[root], p.headAttrs)
-	return pstar, pstar.Bool()
+	// Algorithm 2 on the merged relations: top-down semijoins, then the
+	// join-project pass carrying the head variables.
+	t := &yannakakis.Tree{Forest: p.tree, Rels: rels, SubtreeVars: p.occursIn, HeadVars: p.headVars,
+		Workers: inner, Ctx: ctx, Meter: m}
+	t.TopDownSemijoin()
+	pstar := t.JoinProject()
+	return pstar, pstar != nil && pstar.Bool()
 }

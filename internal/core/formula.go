@@ -2,14 +2,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
-	"pyquery/internal/colorcoding"
-	"pyquery/internal/eval"
-	"pyquery/internal/parallel"
-	"pyquery/internal/plan"
 	"pyquery/internal/query"
 	"pyquery/internal/relation"
-	"pyquery/internal/yannakakis"
 )
 
 // IneqFormula is a positive Boolean combination (∧/∨) of inequality atoms —
@@ -114,288 +110,166 @@ func ineqFormulaVars(f IneqFormula) (vars []query.Var, consts []relation.Value) 
 	for v := range vset {
 		vars = append(vars, v)
 	}
-	sortVarSlice(vars)
+	slices.Sort(vars)
 	for c := range cset {
 		consts = append(consts, c)
 	}
-	sortValues(consts)
+	slices.Sort(consts)
 	return vars, consts
 }
 
-// EvaluateIneqFormula evaluates an acyclic pure conjunctive query whose
-// inequality constraints form an arbitrary ∧/∨ formula φ (parameter q
-// extension of Theorem 2). Unlike the conjunction case, selections cannot
-// be pushed down the join tree: every color column rides to the root, φ is
-// evaluated there on colors (sound because φ is monotone in its atoms and
-// color-distinctness implies value-distinctness; complete over a k-perfect
-// family on the φ-relevant values, with k = #vars + #constants of φ).
-func EvaluateIneqFormula(q *query.CQ, phi IneqFormula, db *query.DB, opts Options) (*relation.Relation, error) {
-	opts = opts.withDefaults()
-	if len(q.Ineqs) > 0 || len(q.Cmps) > 0 {
-		return nil, fmt.Errorf("core: move the query's inequality atoms into φ")
-	}
-	if err := q.Validate(db); err != nil {
-		return nil, err
-	}
-	phiVars, phiConsts := ineqFormulaVars(phi)
-	bodyVars := map[query.Var]bool{}
-	for _, v := range q.BodyVars() {
-		bodyVars[v] = true
-	}
-	for _, v := range phiVars {
-		if !bodyVars[v] {
-			return nil, fmt.Errorf("core: φ variable x%d does not occur in the query body", v)
-		}
-	}
-
-	h, _ := plan.AtomHypergraph(q)
-	forest, acyclic := h.JoinForest()
-	if !acyclic {
-		return nil, ErrCyclic
-	}
-	if len(q.Atoms) == 0 {
-		// No atoms ⇒ no variables anywhere; φ is ground.
-		out := query.NewTable(len(q.Head))
-		ground := EvalIneqFormulaValues(phi, func(query.Var) relation.Value {
-			panic("core: ground formula expected")
-		})
-		if ground {
-			row := make([]relation.Value, len(q.Head))
-			for i, t := range q.Head {
-				row[i] = t.Const
-			}
-			out.Append(row...)
-		}
-		return out, nil
-	}
-	// Reduce atoms; collect the φ-relevant domain.
-	inPhi := map[query.Var]bool{}
-	for _, v := range phiVars {
-		inPhi[v] = true
-	}
-	base := make([]*relation.Relation, len(q.Atoms))
-	uj := make([][]query.Var, len(q.Atoms))
-	inputs := make([]plan.Input, len(q.Atoms))
-	relevant := map[relation.Value]bool{}
-	for j, a := range q.Atoms {
-		s, vars := eval.ReduceAtom(a, db)
-		if s.Empty() {
-			return query.NewTable(len(q.Head)), nil
-		}
-		base[j] = s
-		uj[j] = vars
-		inputs[j] = plan.Input{Label: a.Rel, Rows: s.Len(), Vars: vars}
-		for _, v := range vars {
-			if inPhi[v] {
-				col := s.Pos(relation.Attr(v))
-				for r := 0; r < s.Len(); r++ {
-					relevant[s.At(col, r)] = true
-				}
-			}
-		}
-	}
-	// Same planner policy as the conjunction path: root at the heaviest
-	// reduced relation, lightest children first.
-	tree := plan.OrderForest(forest, inputs).JoinTree()
-	for _, c := range phiConsts {
-		relevant[c] = true
-	}
-	domain := make([]relation.Value, 0, len(relevant))
-	for v := range relevant {
-		domain = append(domain, v)
-	}
-	sortValues(domain)
-	k := len(phiVars) + len(phiConsts)
-
-	var maxVar query.Var
-	for _, v := range q.Vars() {
-		if v > maxVar {
-			maxVar = v
-		}
-	}
-	hOff := int32(maxVar) + 1
-	hattr := func(v query.Var) relation.Attr { return relation.Attr(hOff + int32(v)) }
-
-	var headAttrs relation.Schema
-	seenHead := map[relation.Attr]bool{}
-	for _, t := range q.Head {
-		if t.IsVar && !seenHead[relation.Attr(t.Var)] {
-			seenHead[relation.Attr(t.Var)] = true
-			headAttrs = append(headAttrs, relation.Attr(t.Var))
-		}
-	}
-
-	fam, err := formulaFamily(domain, k, opts)
-	if err != nil {
-		return nil, err
-	}
-
-	// outer trials run concurrently; each trial spends the leftover budget
-	// in the partitioned relational kernel.
-	outer, inner := parallel.Split(parallel.Workers(opts.Parallelism), len(fam))
-
-	runOne := func(hf colorcoding.Func) *relation.Relation {
-		rels := make([]*relation.Relation, len(base))
-		for j := range base {
-			rels[j] = extendColors(base[j], uj[j], inPhi, hattr, hf)
-		}
-		// Full reducer on the base join attributes.
-		for _, j := range tree.Order {
-			u := tree.Parent[j]
-			if u < 0 {
-				continue
-			}
-			rels[u] = relation.SemijoinPar(rels[u], rels[j], inner)
-			if rels[u].Empty() {
-				return nil
-			}
-		}
-		for i := len(tree.Order) - 1; i >= 0; i-- {
-			j := tree.Order[i]
-			u := tree.Parent[j]
-			if u < 0 {
-				continue
-			}
-			rels[j] = relation.SemijoinPar(rels[j], rels[u], inner)
-		}
-		// Bottom-up joins carrying every color and head column upward.
-		for _, j := range tree.Order {
-			u := tree.Parent[j]
-			if u < 0 {
-				continue
-			}
-			proj := rels[j].Schema().Intersect(rels[u].Schema())
-			for _, v := range phiVars {
-				a := hattr(v)
-				if rels[j].Schema().Has(a) && !proj.Has(a) {
-					proj = append(proj, a)
-				}
-			}
-			for _, a := range headAttrs {
-				if rels[j].Schema().Has(a) && !proj.Has(a) {
-					proj = append(proj, a)
-				}
-			}
-			rels[u] = relation.NaturalJoinPar(rels[u], relation.Project(rels[j], proj), inner)
-			if rels[u].Empty() {
-				return nil
-			}
-		}
-		root := tree.Roots[0]
-		// φ filter on colors: variables read their hashed column, constants
-		// hash through hf.
-		pos := map[query.Var]int{}
-		ok := true
-		for _, v := range phiVars {
-			p := rels[root].Pos(hattr(v))
-			if p < 0 {
-				ok = false
-				break
-			}
-			pos[v] = p
-		}
-		if !ok {
-			return nil
-		}
-		// Rewrite φ's constants into their colors once per hash function,
-		// then evaluate φ on the color columns.
-		recolored := recolorConsts(phi, hf)
-		filtered := relation.Select(rels[root], func(row []relation.Value) bool {
-			return EvalIneqFormulaValues(recolored, func(v query.Var) relation.Value {
-				return row[pos[v]]
-			})
-		})
-		if filtered.Empty() {
-			return nil
-		}
-		return relation.Project(filtered, headAttrs)
-	}
-
-	// Trials are independent; run them across the worker budget in batches,
-	// merged in family order (identical result at any parallelism, peak
-	// memory bounded by the batch width).
-	acc, _ := batchedUnion(nil, nil, outer, len(fam), func(i int) *relation.Relation {
-		return runOne(fam[i])
-	}, nil)
-	if acc == nil {
-		return query.NewTable(len(q.Head)), nil
-	}
-	// Map head-variable rows onto the positional head layout.
-	p := &prepared{q: q}
-	p.finishHead()
-	return yannakakis.HeadTuples(p.q, acc), nil
+// conjunct is one top-level conjunct of φ with its distinct variables and
+// constants.
+type conjunct struct {
+	f      IneqFormula
+	vars   []query.Var
+	consts []relation.Value
 }
 
-// formulaFamily mirrors family() for the formula extension.
-func formulaFamily(domain []relation.Value, k int, opts Options) ([]colorcoding.Func, error) {
-	switch opts.Strategy {
-	case MonteCarlo:
-		return colorcoding.Trials(k, opts.C, opts.Seed), nil
-	case Exact:
-		return colorcoding.ExactPerfect(domain, k)
-	case WHP:
-		return colorcoding.WHPPerfect(len(domain), k, opts.Delta, opts.Seed), nil
-	default:
-		const autoBudget = 50_000
-		if colorcoding.ExactFeasible(len(domain), k, autoBudget) {
-			return colorcoding.ExactPerfect(domain, k)
+// split applies the one conjunct rule to φ's top-level conjuncts (nested ∧
+// is flattened): a conjunct whose variables all occur in one relational
+// atom is pushed into the selections of the atoms holding them (the I₂ of
+// the conjunction case; under noPushdown nothing is pushed), and every
+// other conjunct is colored (I₁, disjunctions spanning atoms). Reversed
+// and repeated atoms collapse, ground conjuncts are decided here, and
+// ok=false reports a conjunct that is false outright (ground false, or
+// x≠x).
+func split(q *query.CQ, phi IneqFormula, noPushdown bool) (pushed, colored []conjunct, ok bool) {
+	var flat []IneqFormula
+	var walk func(IneqFormula)
+	walk = func(f IneqFormula) {
+		if g, isAnd := f.(IneqAnd); isAnd {
+			for _, sub := range g.Subs {
+				walk(sub)
+			}
+			return
 		}
-		return colorcoding.WHPPerfect(len(domain), k, opts.Delta, opts.Seed), nil
+		flat = append(flat, f)
 	}
+	walk(phi)
+	seen := make(map[query.Ineq]bool)
+	for _, f := range flat {
+		if a, isAtom := f.(IneqAtom); isAtom {
+			iq := a.Ineq
+			if iq.YIsVar && iq.X == iq.Y {
+				return nil, nil, false
+			}
+			if iq.YIsVar && iq.X > iq.Y {
+				iq.X, iq.Y = iq.Y, iq.X
+			}
+			if seen[iq] {
+				continue
+			}
+			seen[iq] = true
+			f = IneqAtom{Ineq: iq}
+		}
+		c := conjunct{f: f}
+		c.vars, c.consts = ineqFormulaVars(f)
+		switch {
+		case len(c.vars) == 0:
+			if !EvalIneqFormulaValues(f, nil) {
+				return nil, nil, false
+			}
+		case !noPushdown && inOneAtom(q, c.vars):
+			pushed = append(pushed, c)
+		default:
+			colored = append(colored, c)
+		}
+	}
+	return pushed, colored, true
 }
 
-// extendColors returns s extended with one color column per φ-variable of
-// the atom.
-func extendColors(s *relation.Relation, vars []query.Var, inPhi map[query.Var]bool,
-	hattr func(query.Var) relation.Attr, hf colorcoding.Func) *relation.Relation {
-	var hashed []query.Var
-	for _, v := range vars {
-		if inPhi[v] {
-			hashed = append(hashed, v)
+// inOneAtom reports whether some relational atom holds every variable.
+func inOneAtom(q *query.CQ, vars []query.Var) bool {
+	for _, a := range q.Atoms {
+		if holdsAll(a.Vars(), vars) {
+			return true
 		}
 	}
-	if len(hashed) == 0 {
-		return s
-	}
-	schema := s.Schema().Clone()
-	src := make([]int, len(hashed))
-	for i, v := range hashed {
-		schema = append(schema, hattr(v))
-		src[i] = s.Pos(relation.Attr(v))
-	}
-	out := relation.New(schema)
-	row := make([]relation.Value, len(schema))
-	for r := 0; r < s.Len(); r++ {
-		s.RowTo(row[:s.Width()], r)
-		for i := range hashed {
-			row[s.Width()+i] = relation.Value(hf.Color(s.At(src[i], r)))
-		}
-		out.Append(row...)
-	}
-	return out
+	return false
 }
 
-// recolorConsts maps every x≠c constant of φ through the hash function so
-// the root filter compares colors against colors.
-func recolorConsts(f IneqFormula, hf colorcoding.Func) IneqFormula {
+func holdsAll(have, want []query.Var) bool {
+	for _, v := range want {
+		if !slices.Contains(have, v) {
+			return false
+		}
+	}
+	return true
+}
+
+// test is a formula bound to a relation's columns: a leaf compares column
+// a with column b, or with the constant c when b < 0; an inner node is the
+// conjunction (and) or disjunction of subs.
+type test struct {
+	leaf, and bool
+	a, b      int
+	c         relation.Value
+	subs      []test
+}
+
+// bind resolves f against a relation: col maps a variable to its column
+// (the value column for a pushed conjunct, the color column for a
+// colored one) and val maps a constant (identity, or its color).
+func bind(f IneqFormula, col func(query.Var) int, val func(relation.Value) relation.Value) test {
 	switch g := f.(type) {
 	case IneqAtom:
+		t := test{leaf: true, a: col(g.Ineq.X), b: -1}
 		if g.Ineq.YIsVar {
-			return g
+			t.b = col(g.Ineq.Y)
+		} else {
+			t.c = val(g.Ineq.C)
 		}
-		return IneqAtom{Ineq: query.NeqConst(g.Ineq.X, relation.Value(hf.Color(g.Ineq.C)))}
+		return t
 	case IneqAnd:
-		subs := make([]IneqFormula, len(g.Subs))
-		for i, s := range g.Subs {
-			subs[i] = recolorConsts(s, hf)
-		}
-		return IneqAnd{Subs: subs}
+		return test{and: true, subs: bindAll(g.Subs, col, val)}
 	case IneqOr:
-		subs := make([]IneqFormula, len(g.Subs))
-		for i, s := range g.Subs {
-			subs[i] = recolorConsts(s, hf)
-		}
-		return IneqOr{Subs: subs}
+		return test{subs: bindAll(g.Subs, col, val)}
 	}
 	panic(fmt.Sprintf("core: unknown inequality formula node %T", f))
+}
+
+func bindAll(fs []IneqFormula, col func(query.Var) int, val func(relation.Value) relation.Value) []test {
+	ts := make([]test, len(fs))
+	for i, f := range fs {
+		ts[i] = bind(f, col, val)
+	}
+	return ts
+}
+
+// holds evaluates the bound formula on row i of r.
+func (t *test) holds(r *relation.Relation, i int) bool {
+	if t.leaf {
+		if t.b < 0 {
+			return r.At(t.a, i) != t.c
+		}
+		return r.At(t.a, i) != r.At(t.b, i)
+	}
+	for k := range t.subs {
+		if t.subs[k].holds(r, i) != t.and {
+			return !t.and
+		}
+	}
+	return t.and
+}
+
+// filter keeps the rows of r that pass every test.
+func filter(r *relation.Relation, tests []test) *relation.Relation {
+	if len(tests) == 0 {
+		return r
+	}
+	sel := make([]int32, 0, r.Len())
+rows:
+	for i := 0; i < r.Len(); i++ {
+		for k := range tests {
+			if !tests[k].holds(r, i) {
+				continue rows
+			}
+		}
+		sel = append(sel, int32(i))
+	}
+	if len(sel) == r.Len() {
+		return r
+	}
+	return r.Gather(sel)
 }

@@ -50,7 +50,7 @@ func TestFromConjunctionMatchesEvaluate(t *testing.T) {
 	pure := q.Clone()
 	phi := FromConjunction(pure.Ineqs)
 	pure.Ineqs = nil
-	got, err := EvaluateIneqFormula(pure, phi, db, Options{Strategy: Exact})
+	got, err := runFormula(pure, phi, db, Options{Strategy: Exact})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestEvaluateIneqFormulaDisjunction(t *testing.T) {
 		IneqAtom{Ineq: query.NeqVars(1, 2)},
 		IneqAtom{Ineq: query.NeqConst(0, 1)},
 	}}
-	got, err := EvaluateIneqFormula(q, phi, orgDB(), Options{Strategy: Exact})
+	got, err := runFormula(q, phi, orgDB(), Options{Strategy: Exact})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,12 +89,12 @@ func TestEvaluateIneqFormulaDisjunction(t *testing.T) {
 func TestEvaluateIneqFormulaRejections(t *testing.T) {
 	db := orgDB()
 	q := multiProjectQuery() // still carries its own ≠ atoms
-	if _, err := EvaluateIneqFormula(q, IneqAnd{}, db, Options{}); err == nil {
+	if _, err := runFormula(q, IneqAnd{}, db, Options{}); err == nil {
 		t.Fatal("query-side ≠ atoms must be rejected")
 	}
 	pure := &query.CQ{Atoms: []query.Atom{query.NewAtom("EP", query.V(0), query.V(1))}}
 	badVar := IneqAtom{Ineq: query.NeqVars(0, 9)}
-	if _, err := EvaluateIneqFormula(pure, badVar, db, Options{}); err == nil {
+	if _, err := runFormula(pure, badVar, db, Options{}); err == nil {
 		t.Fatal("φ variable outside the body must be rejected")
 	}
 	cyc := &query.CQ{Atoms: []query.Atom{
@@ -102,7 +102,7 @@ func TestEvaluateIneqFormulaRejections(t *testing.T) {
 		query.NewAtom("EP", query.V(1), query.V(2)),
 		query.NewAtom("EP", query.V(2), query.V(0)),
 	}}
-	if _, err := EvaluateIneqFormula(cyc, IneqAnd{}, db, Options{}); err == nil {
+	if _, err := runFormula(cyc, IneqAnd{}, db, Options{}); err == nil {
 		t.Fatal("cyclic query must be rejected")
 	}
 }
@@ -159,7 +159,10 @@ func bruteIneqFormula(q *query.CQ, phi IneqFormula, db *query.DB) *relation.Rela
 }
 
 // Property: the formula engine agrees with brute force on random acyclic
-// queries with random ∧/∨ inequality formulas.
+// queries with random ∧/∨ inequality formulas — serial, without the
+// pushdown (every conjunct colored), and with three workers. The random
+// disjunctions often span subtrees, so they are checked at the lowest
+// common ancestor of their variables.
 func TestQuickIneqFormulaAgainstBrute(t *testing.T) {
 	f := func(seed int64) bool {
 		rnd := rand.New(rand.NewSource(seed))
@@ -193,14 +196,20 @@ func TestQuickIneqFormulaAgainstBrute(t *testing.T) {
 			return true // keep the exact family enumerable
 		}
 		want := bruteIneqFormula(q, phi, db)
-		got, err := EvaluateIneqFormula(q, phi, db, Options{Strategy: Exact})
-		if err != nil {
-			t.Logf("seed %d: %v (φ=%v, q=%v)", seed, err, phi, q)
-			return false
-		}
-		if !relation.EqualSet(got, want) {
-			t.Logf("seed %d: mismatch on φ=%v q=%v:\n got %v\nwant %v", seed, phi, q, got, want)
-			return false
+		for _, opts := range []Options{
+			{Strategy: Exact, Parallelism: 1},
+			{Strategy: Exact, Parallelism: 1, NoPushdown: true},
+			{Strategy: Exact, Parallelism: 3},
+		} {
+			got, err := runFormula(q, phi, db, opts)
+			if err != nil {
+				t.Logf("seed %d %+v: %v (φ=%v, q=%v)", seed, opts, err, phi, q)
+				return false
+			}
+			if !relation.EqualSet(got, want) {
+				t.Logf("seed %d %+v: mismatch on φ=%v q=%v:\n got %v\nwant %v", seed, opts, phi, q, got, want)
+				return false
+			}
 		}
 		return true
 	}

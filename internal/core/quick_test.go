@@ -8,6 +8,7 @@ import (
 	"pyquery/internal/eval"
 	"pyquery/internal/query"
 	"pyquery/internal/relation"
+	"pyquery/internal/yannakakis"
 )
 
 // randAcyclicIneqInstance builds a random acyclic conjunctive query with
@@ -90,7 +91,7 @@ func TestQuickCoreAgreesWithBrute(t *testing.T) {
 	f := func(seed int64) bool {
 		rnd := rand.New(rand.NewSource(seed))
 		q, db := randAcyclicIneqInstance(rnd)
-		if !IsAcyclicWithIneqs(q) {
+		if !yannakakis.IsAcyclic(q) {
 			t.Logf("seed %d: generator produced a cyclic query", seed)
 			return false
 		}

@@ -7,8 +7,8 @@ import (
 	"pyquery/internal/relation"
 )
 
-// The helpers reach the engine the only way there is: Compile, then one
-// ungoverned execution; the *Stats forms also read the program's statistics.
+// The helpers reach the engine the only way there is: Compile (or
+// CompileFormula), then one ungoverned execution; the *Stats forms also read the program's statistics.
 
 func runStats(q *query.CQ, db *query.DB, opts Options) (*relation.Relation, Stats, error) {
 	pr, err := Compile(q, db, opts)
@@ -26,6 +26,15 @@ func runBoolStats(q *query.CQ, db *query.DB, opts Options) (bool, Stats, error) 
 	}
 	ok, err := pr.ExecBool(context.Background(), nil, nil)
 	return ok, pr.Stats(), err
+}
+
+// runFormula evaluates q under the inequality formula φ.
+func runFormula(q *query.CQ, phi IneqFormula, db *query.DB, opts Options) (*relation.Relation, error) {
+	pr, err := CompileFormula(q, phi, db, opts)
+	if err != nil {
+		return nil, err
+	}
+	return pr.Exec(context.Background(), nil, nil)
 }
 
 func run(q *query.CQ, db *query.DB, opts Options) (*relation.Relation, error) {

@@ -138,8 +138,9 @@ type Options struct {
 	// the round count may differ (serial naive rounds see earlier rules'
 	// derivations within the same round, parallel rounds do not).
 	Parallelism int
-	// Ctx, when cancelable, aborts the fixpoint between rounds (and
-	// between a round's rule firings); Eval then returns Ctx.Err().
+	// Ctx, when cancelable, aborts the fixpoint — between rounds, between
+	// a round's rule firings, and inside a running firing; Eval then
+	// returns Ctx.Err().
 	Ctx context.Context
 }
 
@@ -199,7 +200,7 @@ func fireAll(ctx context.Context, firings []firing, work *query.DB, cur map[stri
 	errs := make([]error, len(firings))
 	ctxFailed := parallel.ForEachCtx(ctx, outer, len(firings), func(i int) {
 		f := firings[i]
-		out, err := fireRule(f.head, f.body, work, inner)
+		out, err := fireRule(ctx, f.head, f.body, work, inner)
 		if err != nil {
 			errs[i] = err
 			return
@@ -243,7 +244,7 @@ func evalNaive(ctx context.Context, p *Program, work *query.DB, cur map[string]*
 			stats.Rounds++
 			grew := false
 			for _, r := range p.Rules {
-				out, err := fireRule(r.Head, r.Body, work, workers)
+				out, err := fireRule(ctx, r.Head, r.Body, work, workers)
 				if err != nil {
 					return err
 				}
@@ -448,14 +449,15 @@ func countIDBAtoms(r Rule, idb map[string]int) int {
 // sequential fixpoint rounds (workers ≤ 1 there, so no goroutines spawn)
 // and fireAll's concurrent firings, where the leftover per-firing budget
 // from parallel.Split lets a lone firing spend the whole budget in the
-// backtracker's fan-out.
-func fireRule(head query.Atom, body []query.Atom, work *query.DB, workers int) (*relation.Relation, error) {
+// backtracker's fan-out. ctx is the evaluation's: a cancel stops the
+// running firing, not only the next one.
+func fireRule(ctx context.Context, head query.Atom, body []query.Atom, work *query.DB, workers int) (*relation.Relation, error) {
 	q := &query.CQ{Head: head.Args, Atoms: body}
 	c, err := eval.Compile(q, work, eval.Options{Parallelism: workers}, nil)
 	if err != nil {
 		return nil, err
 	}
-	return c.Exec(context.TODO(), nil, nil)
+	return c.Exec(ctx, nil, nil)
 }
 
 // VardiFamily returns the arity-k Datalog program of experiment E7:

@@ -1,9 +1,12 @@
 package datalog
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"pyquery/internal/query"
 	"pyquery/internal/relation"
@@ -164,6 +167,39 @@ func TestVardiFamilyCounts(t *testing.T) {
 		if goal.Len() != want {
 			t.Fatalf("n=%d k=%d: |T| = %d, want n^k = %d", tc.n, tc.k, goal.Len(), want)
 		}
+	}
+}
+
+// TestEvalCancelStopsRunningFiring: a cancel must stop the rule firing
+// that is running, not only the next one. On the two-layer graph A⇄B
+// (|A| = 1000, |B| = 12) VardiFamily(2)'s seed round copies the 24 000
+// edges in a few milliseconds, and its first slide firing derives
+// |A|²·|B| = 12 M tuples — hundreds of milliseconds, over 20× the cancel
+// delay — so an evaluation that only polls between firings returns long
+// after the cancel.
+func TestEvalCancelStopsRunningFiring(t *testing.T) {
+	const a, b = 1000, 12
+	db := query.NewDB()
+	e := query.NewTable(2)
+	for i := 0; i < a; i++ {
+		for j := a; j < a+b; j++ {
+			e.Append(relation.Value(i), relation.Value(j))
+			e.Append(relation.Value(j), relation.Value(i))
+		}
+	}
+	db.Set("E", e)
+	const delay = 10 * time.Millisecond
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	time.AfterFunc(delay, cancel)
+	start := time.Now()
+	_, _, err := EvalGoal(VardiFamily(2), db, Options{Parallelism: 1, Ctx: ctx})
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
+	}
+	if elapsed > 10*delay {
+		t.Fatalf("canceled after %v but returned after %v: the running firing ignored the cancel", delay, elapsed)
 	}
 }
 

@@ -199,23 +199,6 @@ func SemijoinInPlace(r, s *Relation) *Relation {
 	return r.Compact(sel)
 }
 
-// Union returns r ∪ s, deduplicated. The schemas must contain the same
-// attribute set; s's columns are reordered to r's layout.
-func Union(r, s *Relation) *Relation {
-	if !r.schema.SameSet(s.schema) {
-		panic(fmt.Sprintf("relation: union of incompatible schemas %v and %v", r.schema, s.schema))
-	}
-	out := r.Clone()
-	for c, a := range r.schema {
-		sc := s.Pos(a)
-		for i := 0; i < s.n; i++ {
-			out.cols[c].push(s.cols[sc].at(i))
-		}
-	}
-	out.n += s.n
-	return out.Dedup()
-}
-
 // Difference returns r − s (set difference). The schemas must contain the
 // same attribute set.
 func Difference(r, s *Relation) *Relation {

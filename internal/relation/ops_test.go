@@ -111,27 +111,6 @@ func TestSemijoinDisjointSchemas(t *testing.T) {
 	}
 }
 
-func TestUnionAcrossColumnOrder(t *testing.T) {
-	r := rel(t, Schema{1, 2}, []Value{1, 2})
-	s := rel(t, Schema{2, 1}, []Value{2, 1}, []Value{4, 3})
-	got := Union(r, s)
-	if got.Len() != 2 {
-		t.Fatalf("union size = %d, want 2 (dedup across order)", got.Len())
-	}
-	if !got.Contains([]Value{1, 2}) || !got.Contains([]Value{3, 4}) {
-		t.Fatalf("union rows wrong: %v", got)
-	}
-}
-
-func TestUnionIncompatiblePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Union(New(Schema{1}), New(Schema{2}))
-}
-
 func TestDifference(t *testing.T) {
 	r := rel(t, Schema{1, 2}, []Value{1, 2}, []Value{3, 4}, []Value{5, 6})
 	s := rel(t, Schema{2, 1}, []Value{4, 3})

@@ -44,7 +44,7 @@ func TestOrgChartShape(t *testing.T) {
 	if err := q.Validate(db); err != nil {
 		t.Fatal(err)
 	}
-	if !core.IsAcyclicWithIneqs(q) {
+	if !yannakakis.IsAcyclic(q) {
 		t.Fatal("org-chart query must be acyclic with inequalities")
 	}
 	res, err := run(core.Compile(q, db, core.Options{}))
@@ -153,7 +153,7 @@ func TestRandomAcyclicCQIsAcyclic(t *testing.T) {
 			MaxAtoms: 4, MaxFresh: 2, Domain: 4, MaxRows: 8,
 			IneqPairs: 2, IneqConsts: 1, HeadVars: true,
 		})
-		if !core.IsAcyclicWithIneqs(q) {
+		if !yannakakis.IsAcyclic(q) {
 			t.Fatalf("iteration %d: cyclic query generated: %v", i, q)
 		}
 		if err := q.Validate(db); err != nil {
@@ -175,7 +175,7 @@ func TestCyclicLowWidthShapes(t *testing.T) {
 	}
 	for i, spec := range specs {
 		q, db := CyclicLowWidth(spec)
-		if core.IsAcyclicWithIneqs(q) {
+		if yannakakis.IsAcyclic(q) {
 			t.Fatalf("spec %d: query is acyclic: %v", i, q)
 		}
 		if !decomp.Decomposable(q) {

@@ -2,16 +2,15 @@
 // algorithm ([18] in the paper): reduce each atom to S_j = π σ (R), build a
 // join tree, run the full reducer (bottom-up then top-down semijoins) to
 // eliminate dangling tuples, and finally join bottom-up while projecting
-// onto the head variables — time polynomial in input + output. Theorem 2's
-// engine (internal/core) generalizes this pass structure with hashed color
-// columns; this package is both a standalone engine and the I₁ = ∅ fast
-// path.
+// onto the head variables — time polynomial in input + output.
 //
 // The tree-driven passes are exported as Tree, which runs over
 // caller-supplied relations rather than query atoms: the decomposition
 // engine (internal/decomp) hands it materialized bag relations on a bag
-// tree, so the acyclic and bounded-width engines share one full-reducer and
-// join-project implementation.
+// tree, and Theorem 2's engine (internal/core) hands it each color trial's
+// merged relations for Algorithm 2 (TopDownSemijoin, then JoinProject), so
+// the acyclic, bounded-width and color-coding engines share one semijoin
+// and join-project implementation.
 package yannakakis
 
 import (
@@ -118,7 +117,7 @@ func (pr *Program) Exec(ctx context.Context, _ []relation.Value, m *governor.Met
 		return query.NewTable(len(pr.q.Head)), nil
 	}
 	t := pr.fork(ctx, m)
-	if !pr.noFullReducer && t.FullReduce() {
+	if !pr.noFullReducer && (t.BottomUpSemijoin() || t.TopDownSemijoin()) {
 		if err := governor.Check(ctx, m, "finish"); err != nil {
 			return nil, err
 		}
@@ -410,15 +409,18 @@ func (t *Tree) BottomUpSemijoin() bool {
 	return false
 }
 
-// FullReduce runs the full reducer: bottom-up semijoins, then top-down
-// semijoins, leaving the relations globally consistent (every remaining
-// tuple participates in some full join result).
-func (t *Tree) FullReduce() bool {
-	if t.BottomUpSemijoin() {
-		return true
-	}
+// TopDownSemijoin runs the downward semijoin pass (parents filter
+// children); after BottomUpSemijoin the two passes are the full reducer,
+// leaving the relations globally consistent (every remaining tuple
+// participates in some full join result). It returns true if some relation
+// became empty. With Workers > 1 the pass walks the tree level by level:
+// each node of a level is filtered by its (already filtered) parent, the
+// nodes narrow disjoint selections and only read their parents, so a level
+// runs across workers.
+func (t *Tree) TopDownSemijoin() bool {
+	t.ensureSels()
 	if t.Workers <= 1 {
-		// Top-down: parents filter children, in reverse bottom-up order.
+		// Parents filter children, in reverse bottom-up order.
 		for i := len(t.Forest.Order) - 1; i >= 0; i-- {
 			if t.stopped("topdown-semijoin") {
 				return false
@@ -434,9 +436,6 @@ func (t *Tree) FullReduce() bool {
 		}
 		return false
 	}
-	// Top-down by levels: each node of a level is filtered by its (already
-	// fully filtered) parent; the nodes mutate disjoint relations and only
-	// read their parents, so a level runs across workers.
 	lv := t.levels()
 	var empty atomic.Bool
 	for d := 1; d < len(lv); d++ {

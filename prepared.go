@@ -7,6 +7,7 @@ import (
 	"iter"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"pyquery/internal/core"
 	"pyquery/internal/decomp"
@@ -312,19 +313,19 @@ func (p *Prepared) ExecBool(ctx context.Context, args ...Arg) (ok bool, err erro
 }
 
 // govern is the execution prelude every governed boundary takes — begin
-// (Exec/ExecBool/ForEach), Decide, and Refresh: Options.Timeout becomes a
-// deadline on the returned context (done releases its timer and must be
-// deferred), and a context that has already finished is classified into the
-// typed taxonomy under the boundary's label before any work runs. The error
-// matches both the sentinel (ErrTimeout/ErrCanceled) and the underlying
-// context error.
-func (p *Prepared) govern(ctx context.Context, label string) (ectx context.Context, done func(), err error) {
+// (Exec/ExecBool/ForEach), Decide, Refresh, and the color-coding free
+// functions: Options.Timeout becomes a deadline on the returned context
+// (done releases its timer and must be deferred), and a context that has
+// already finished is classified into the typed taxonomy under the
+// boundary's label before any work runs. The error matches both the
+// sentinel (ErrTimeout/ErrCanceled) and the underlying context error.
+func govern(ctx context.Context, timeout time.Duration, label string) (ectx context.Context, done func(), err error) {
 	ectx, done = ctx, func() {}
-	if p.opts.Timeout > 0 {
+	if timeout > 0 {
 		if ectx == nil {
 			ectx = context.Background()
 		}
-		ectx, done = context.WithTimeout(ectx, p.opts.Timeout)
+		ectx, done = context.WithTimeout(ectx, timeout)
 	}
 	if cerr := parallel.CtxErr(ectx); cerr != nil {
 		kind := governor.ErrCanceled
@@ -347,7 +348,7 @@ func (p *Prepared) meter(ctx context.Context, label string) *governor.Meter {
 // argument resolution, and the execution's meter labeled by the frozen
 // engine. done must be called (deferred) by every caller.
 func (p *Prepared) begin(ctx context.Context, args []Arg) (st *prepState, vals []relation.Value, ectx context.Context, m *governor.Meter, done func(), err error) {
-	if ectx, done, err = p.govern(ctx, "prepare"); err != nil {
+	if ectx, done, err = govern(ctx, p.opts.Timeout, "prepare"); err != nil {
 		return nil, nil, ectx, nil, done, err
 	}
 	if st, err = p.current(); err != nil {
@@ -417,7 +418,7 @@ func (p *Prepared) Rows(ctx context.Context, args ...Arg) iter.Seq2[[]Value, err
 // the template's parameters as in Exec.
 func (p *Prepared) Decide(ctx context.Context, t []Value, args ...Arg) (ok bool, err error) {
 	defer recoverInternal("decide", &err)
-	ectx, done, err := p.govern(ctx, "decide")
+	ectx, done, err := govern(ctx, p.opts.Timeout, "decide")
 	defer done()
 	if err != nil {
 		return false, err
@@ -585,7 +586,7 @@ func (p *Prepared) Refresh(ctx context.Context) (added, removed *Relation, err e
 		return nil, nil, ErrNotMaintainable
 	}
 	defer recoverInternal("ivm", &err)
-	ectx, done, err := p.govern(ctx, "ivm")
+	ectx, done, err := govern(ctx, p.opts.Timeout, "ivm")
 	defer done()
 	if err != nil {
 		return nil, nil, err

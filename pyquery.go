@@ -37,12 +37,14 @@ import (
 	"pyquery/internal/core"
 	"pyquery/internal/decomp"
 	"pyquery/internal/eval"
+	"pyquery/internal/governor"
 	"pyquery/internal/order"
 	"pyquery/internal/parser"
 	"pyquery/internal/plan"
 	"pyquery/internal/query"
 	"pyquery/internal/relation"
 	"pyquery/internal/wcoj"
+	"pyquery/internal/yannakakis"
 )
 
 // Re-exported core types. Downstream code uses pyquery.CQ etc.; the
@@ -76,19 +78,20 @@ type (
 	Stats = core.Stats
 )
 
-// Options configures evaluation. The struct is comparable — it is half of
-// the plan-cache key — so every field must stay a plain value.
+// Options configures evaluation: the color-coding engine's hash family
+// (Strategy, C, Seed), the routing ablations (NoDecomp, NoWCOJ), the plan
+// cache (NoCache), the worker count (Parallelism), and the resource
+// governor (MaxRows, MemoryLimit, Timeout, Degrade). The struct is
+// comparable — it is half of the plan-cache key — so every field must stay
+// a plain value.
 type Options struct {
-	// Strategy, C, Delta, Seed, and NoPushdown configure the Theorem 2
-	// color-coding engine (see core.Options) and are ignored elsewhere:
-	// the hash family, the Monte-Carlo confidence multiplier (default 3),
-	// the whp-family failure bound (default 1e-9), the seed of every
-	// randomized choice, and the I₂ selection pushdown ablation (A1).
-	Strategy   core.Strategy
-	C          float64
-	Delta      float64
-	Seed       int64
-	NoPushdown bool
+	// Strategy, C, and Seed configure the Theorem 2 color-coding engine
+	// (see core.Options) and are ignored elsewhere: the hash family, the
+	// Monte-Carlo confidence multiplier (default 3), and the seed of every
+	// randomized choice.
+	Strategy core.Strategy
+	C        float64
+	Seed     int64
 	// NoDecomp disables the hypertree-decomposition engine (ablation A6):
 	// cyclic low-width queries fall back to the generic backtracker.
 	NoDecomp bool
@@ -130,8 +133,7 @@ type Options struct {
 
 // core projects the options onto the fields the Theorem 2 engine reads.
 func (o Options) core() core.Options {
-	return core.Options{Strategy: o.Strategy, C: o.C, Delta: o.Delta, Seed: o.Seed,
-		NoPushdown: o.NoPushdown, Parallelism: o.Parallelism}
+	return core.Options{Strategy: o.Strategy, C: o.C, Seed: o.Seed, Parallelism: o.Parallelism}
 }
 
 // Constructors re-exported for query building.
@@ -225,7 +227,7 @@ func classify(q *CQ) Engine {
 			}
 		}
 	}
-	if !core.IsAcyclicWithIneqs(q) {
+	if !yannakakis.IsAcyclic(q) {
 		// Cyclic: bounded-width pure queries are decomposition candidates
 		// (≠ atoms and comparisons stay with the backtracker, which checks
 		// them mid-plan).
@@ -624,14 +626,16 @@ func ExplainDB(q *CQ, db *DB) (string, error) {
 }
 
 // EvaluateStats runs the Theorem 2 engine explicitly with options and
-// returns its statistics; the query must be acyclic with inequalities.
+// returns its statistics; the query must be acyclic with inequalities. The
+// execution is governed as Prepared.Exec is: Timeout, MaxRows and
+// MemoryLimit apply.
 func EvaluateStats(q *CQ, db *DB, opts Options) (res *Relation, st Stats, err error) {
 	defer recoverInternal("colorcoding", &err)
 	pr, err := core.Compile(q, db, opts.core())
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	res, err = pr.Exec(context.Background(), nil, nil)
+	res, err = execCore(pr, opts)
 	return res, pr.Stats(), err
 }
 
@@ -652,8 +656,25 @@ type (
 // EvaluateIneqFormula evaluates an acyclic pure conjunctive query under an
 // arbitrary ∧/∨ formula of inequality atoms (the paper's parameter-q
 // extension of Theorem 2). The query must carry no ≠/comparison atoms of
-// its own — the constraints live in φ.
+// its own — the constraints live in φ. The execution is governed as in
+// EvaluateStats.
 func EvaluateIneqFormula(q *CQ, phi IneqFormula, db *DB, opts Options) (res *Relation, err error) {
 	defer recoverInternal("colorcoding", &err)
-	return core.EvaluateIneqFormula(q, phi, db, opts.core())
+	pr, err := core.CompileFormula(q, phi, db, opts.core())
+	if err != nil {
+		return nil, err
+	}
+	return execCore(pr, opts)
+}
+
+// execCore runs a compiled Theorem 2 program under the prelude every
+// governed execution takes: the Timeout deadline and the row/byte meter.
+func execCore(pr *core.Program, opts Options) (*Relation, error) {
+	const label = "colorcoding"
+	ctx, done, err := govern(context.Background(), opts.Timeout, label)
+	defer done()
+	if err != nil {
+		return nil, err
+	}
+	return pr.Exec(ctx, nil, governor.New(ctx, label, opts.MaxRows, opts.MemoryLimit))
 }
